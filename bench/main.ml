@@ -60,9 +60,10 @@ let bench_llc =
   Test.make ~name:"llc.access"
     (Staged.stage (fun () ->
          ignore
-           (Memsim.Llc.access llc
+           (Memsim.Llc.access_run llc
               (Random.State.int rng (1 lsl 26) * 64)
-              ~write:false ~seq:false ~nvm:true)))
+              ~lines:1 ~write:false ~seq:false ~nvm:true
+             : Memsim.Llc.outcome)))
 
 let bench_prng =
   let rng = Simstats.Prng.create 1 in

@@ -69,6 +69,13 @@ if [ "$d_off" != "$d_rel" ] || [ "$d_off" != "$d_rel8" ]; then
   exit 1
 fi
 
+# Performance-ledger smoke: one round of every ledger workload with its
+# correctness checks.  Besides the fig5 digest gated above, this pins
+# the sweep-arrays digest (heavy multi-line LLC runs and dirty
+# evictions) and the fuzz-campaign digest (fuzz and crash verdicts,
+# including the crash model's dirty-line residency queries).
+dune build @bench/ledger/ledger-smoke
+
 # Multicore engine smoke: the whole figure/table sweep driven through the
 # work-stealing domain pool (`--jobs`).  Output is byte-identical at any
 # job count, so parallelism here is pure wall-clock; the timing line

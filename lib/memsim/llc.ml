@@ -17,53 +17,60 @@
 
 let line_bytes = 64
 
-type set = {
-  tags : int array;  (** line ids; -1 = invalid *)
-  fps : int array;
-      (** packed 8-bit fingerprints of the resident lines, 7 ways per
-          native int in 9-bit lanes; an absent way's lane holds 0x100,
-          which no 8-bit fingerprint can equal.  Lookups scan these words
-          with a SWAR equal-lane test instead of walking [tags] — one ALU
-          probe covers 7 ways.  The lane test can report false positives
-          (borrow propagation in the subtraction trick), never false
-          negatives, so candidates are confirmed against [tags]. *)
-  mutable prefetched : int;  (** bitmask over ways *)
-  mutable dirty : int;  (** bitmask over ways *)
-  mutable nvm : int;  (** bitmask: line belongs to the NVM space *)
-  mutable seqw : int;
-      (** bitmask: line was dirtied by a sequential (streaming) write, so
-          its eventual write-back drains at the sequential rate *)
-  stamp : int array;
-      (** stamp.(i) = cache-global tick of way i's last touch; the victim
-          is the smallest stamp.  Initialized to distinct negative values
-          so untouched ways are evicted highest-index-first, matching the
-          age-rank scheme this replaces (stamps stay pairwise distinct,
-          so the LRU choice is always unique). *)
-  mutable hint : int;
-      (** way of the most recent hit/install — checked before the full
-          way scan.  A line is resident in at most one way, so the hint
-          can only short-circuit to the same answer the scan would give
-          (header + field accesses to one object often share a line). *)
-}
+(* Flat struct-of-arrays layout: the state of every set lives in three
+   int arrays, so [create] is a constant number of allocations however
+   many sets the cache has (a per-set record plus three per-set arrays
+   cost 4 blocks per set, promoted out of the minor heap at the next
+   minor GC).
+
+   - [tags] / [stamp]: set [s]'s ways occupy [s lsl wshift .. + ways) —
+     a power-of-two way stride, so the set base is a shift.  [tags.(i)]
+     is the resident line id (-1 = invalid); [stamp.(i)] the cache-global
+     tick of the way's last touch, the victim being the smallest stamp.
+     Stamps start at distinct negative values so untouched ways are
+     evicted highest-index-first (stamps stay pairwise distinct, so the
+     LRU choice is always unique).  Padding ways past [ways] are never
+     read.
+   - [meta]: one [1 lsl mshift]-word block per set (8 words = one 64-byte
+     cache line up to 21 ways) holding, at the [m_*] offsets below:
+     the way hint (way of the most recent hit/install, checked before
+     the fingerprint scan — a line is resident in at most one way, so
+     the hint can only short-circuit to the same answer), the
+     [prefetched] / [dirty] / [nvm] / [seqw] way bitmasks ([nvm]: the
+     line belongs to the NVM space; [seqw]: it was dirtied by a
+     sequential write, so its write-back drains at the sequential rate),
+     then the packed fingerprint words.
+
+   Fingerprints: an 8-bit hash of each resident line, 7 ways per native
+   int in 9-bit lanes; an absent way's lane holds 0x100, which no 8-bit
+   fingerprint can equal.  Lookups scan these words with a SWAR
+   equal-lane test instead of walking [tags] — one ALU probe covers 7
+   ways.  The lane test can report false positives (borrow propagation
+   in the subtraction trick), never false negatives, so candidates are
+   confirmed against [tags]. *)
+let m_hint = 0
+let m_prefetched = 1
+let m_dirty = 2
+let m_nvm = 3
+let m_seqw = 4
+let m_fps = 5
 
 type t = {
   nsets : int;
   set_mask : int;  (** nsets - 1; nsets is a power of two *)
   ways : int;
-  sets : set array;
+  wshift : int;  (** log2 of the way stride in [tags] / [stamp] *)
+  mshift : int;  (** log2 of the per-set block size in [meta] *)
+  fp_words : int;
+  tags : int array;
+  stamp : int array;
+  meta : int array;
   mutable tick : int;  (** monotone touch counter feeding [stamp] *)
-  (* Pending write-back slots: the [_q] entry points record a dirty
-     eviction here instead of allocating an option — the hot path runs
-     millions of times per simulated pause. *)
-  mutable wb_pending : bool;
-  mutable wb_addr_q : int;
-  mutable wb_nvm_q : bool;
-  mutable wb_seq_q : bool;
-  (* Run write-back buffer: dirty evictions produced by {!access_run}
-     accumulate here instead of the single pending slot, so a whole
-     contiguous N-line run can be walked without draining between
-     probes.  Each entry packs the eviction's nvm (bit 0) and seq
-     (bit 1) flags — the write-back charge needs nothing else. *)
+  (* Write-back buffer: dirty evictions produced by {!access_run} and
+     {!prefetch_q} accumulate here, so a whole contiguous N-line run can
+     be walked without draining between probes.  Each entry packs the
+     evicted line id (bits 2+) with its nvm (bit 0) and seq (bit 1)
+     flags. *)
   mutable run_wb : int array;
   mutable run_wb_len : int;
   mutable hits : int;
@@ -92,6 +99,11 @@ let fp_low =
 let fp_high = fp_low lsl 8 (* bit 8 of every lane *)
 let fp_absent_word = fp_absent * fp_low
 
+(* Smallest [k] with [1 lsl k >= n]. *)
+let log2_ceil n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
 let create ~capacity_bytes ~ways =
   let ways = max 1 ways in
   let lines = max ways (capacity_bytes / line_bytes) in
@@ -100,27 +112,27 @@ let create ~capacity_bytes ~ways =
   let rec pow2 acc = if acc * 2 > nsets_raw then acc else pow2 (acc * 2) in
   let nsets = pow2 1 in
   let fp_words = (ways + fp_lanes - 1) / fp_lanes in
+  let wshift = log2_ceil ways and mshift = log2_ceil (m_fps + fp_words) in
+  let stamp = Array.make (nsets lsl wshift) 0 in
+  let meta = Array.make (nsets lsl mshift) 0 in
+  for s = 0 to nsets - 1 do
+    let tb = s lsl wshift and mb = s lsl mshift in
+    for i = 0 to ways - 1 do
+      stamp.(tb + i) <- -i
+    done;
+    Array.fill meta (mb + m_fps) fp_words fp_absent_word
+  done;
   {
     nsets;
     set_mask = nsets - 1;
     ways;
-    sets =
-      Array.init nsets (fun _ ->
-          {
-            tags = Array.make ways (-1);
-            fps = Array.make fp_words fp_absent_word;
-            prefetched = 0;
-            dirty = 0;
-            nvm = 0;
-            seqw = 0;
-            stamp = Array.init ways (fun i -> -i);
-            hint = 0;
-          });
+    wshift;
+    mshift;
+    fp_words;
+    tags = Array.make (nsets lsl wshift) (-1);
+    stamp;
+    meta;
     tick = 1;
-    wb_pending = false;
-    wb_addr_q = 0;
-    wb_nvm_q = false;
-    wb_seq_q = false;
     run_wb = Array.make 64 0;
     run_wb_len = 0;
     hits = 0;
@@ -140,36 +152,36 @@ let capacity_bytes t = t.nsets * t.ways * line_bytes
 let[@inline] hash_line line = line * 0x9E3779B1 land max_int
 let fp_of_hash h = (h lsr 24) land 0xff
 
-let[@inline] touch t set way =
-  set.stamp.(way) <- t.tick;
-  t.tick <- t.tick + 1
-
-(* Way holding [line], or -1: scan the packed fingerprint words and
-   confirm candidate lanes (false positives only) against [tags].  The
-   lane loop is bounded by [ways], never the lane count — the tail word's
-   spare lanes hold [fp_absent] and under [-unsafe] an unchecked
-   [tags] read past [ways] must stay unreachable.  Pure: mutates no
-   LRU/hint state. *)
+(* Way holding [line] in the set whose ways start at [tb] and whose
+   fingerprint words start at [fb], or -1: scan the packed fingerprint
+   words and confirm candidate lanes (false positives only) against
+   [tags].  The lane loop is bounded by [ways], never the lane count —
+   the tail word's spare lanes hold [fp_absent] and under [-unsafe] an
+   unchecked [tags] read past [ways] must stay unreachable.  Pure:
+   mutates no LRU/hint state. *)
 (* The scan/confirm recursions live at top level with all state passed
    as arguments: a captured local [let rec] costs a closure allocation
    per call in classic (non-flambda) ocamlopt, and this probe runs once
    per simulated memory access. *)
-let rec fp_confirm (tags : int array) (line : int) m base limit l =
+let rec fp_confirm (tags : int array) (line : int) (m : int) (tb : int)
+    (base : int) (limit : int) (l : int) =
   if l >= limit then -1
   else if
-    m land (1 lsl ((l * fp_shift) + 8)) <> 0 && tags.(base + l) = line
+    m land (1 lsl ((l * fp_shift) + 8)) <> 0 && tags.(tb + base + l) = line
   then base + l
-  else fp_confirm tags line m base limit (l + 1)
+  else fp_confirm tags line m tb base limit (l + 1)
 
-let rec fp_scan (fps : int array) tags nwords needle line ways w =
+let rec fp_scan (meta : int array) (tags : int array) (fb : int)
+    (nwords : int) (needle : int) (line : int) (tb : int) (ways : int)
+    (w : int) =
   if w >= nwords then -1
   else begin
     (* lanes equal to the needle become 0; the classic haszero mask sets
        the high lane bit of every zero lane (and, via borrows, possibly
        of lanes just above one) *)
-    let x = fps.(w) lxor needle in
+    let x = meta.(fb + w) lxor needle in
     let m = (x - fp_low) land lnot x land fp_high in
-    if m = 0 then fp_scan fps tags nwords needle line ways (w + 1)
+    if m = 0 then fp_scan meta tags fb nwords needle line tb ways (w + 1)
     else begin
       let base = w * fp_lanes in
       (* [if]-form rather than [min]: polymorphic [min] is a generic
@@ -177,35 +189,41 @@ let rec fp_scan (fps : int array) tags nwords needle line ways w =
          whole simulator. *)
       let d = ways - base in
       let limit = if d < fp_lanes then d else fp_lanes in
-      match fp_confirm tags line m base limit 0 with
-      | -1 -> fp_scan fps tags nwords needle line ways (w + 1)
+      match fp_confirm tags line m tb base limit 0 with
+      | -1 -> fp_scan meta tags fb nwords needle line tb ways (w + 1)
       | way -> way
     end
   end
 
-let[@inline] fp_probe set line ~fp ~ways =
-  fp_scan set.fps set.tags (Array.length set.fps) (fp * fp_low) line ways 0
+let[@inline] fp_probe t ~tb ~mb line ~fp =
+  fp_scan t.meta t.tags (mb + m_fps) t.fp_words (fp * fp_low) line tb t.ways 0
 
-let[@inline] find_way t set line ~fp =
-  if set.tags.(set.hint) = line then set.hint
+let[@inline] find_way t ~tb ~mb line ~fp =
+  let meta = t.meta in
+  let hint = meta.(mb + m_hint) in
+  if t.tags.(tb + hint) = line then hint
   else begin
-    let way = fp_probe set line ~fp ~ways:t.ways in
-    if way >= 0 then set.hint <- way;
+    let way = fp_probe t ~tb ~mb line ~fp in
+    if way >= 0 then meta.(mb + m_hint) <- way;
     way
   end
 
+let[@inline] touch t ~tb way =
+  t.stamp.(tb + way) <- t.tick;
+  t.tick <- t.tick + 1
+
 (* Record way [way]'s fingerprint (or [fp_absent]) in the packed words. *)
-let set_fp set way fp =
-  let w = way / fp_lanes and sh = way mod fp_lanes * fp_shift in
-  set.fps.(w) <- set.fps.(w) land lnot (fp_lane_mask lsl sh) lor (fp lsl sh)
+let set_fp (meta : int array) ~mb way fp =
+  let w = mb + m_fps + (way / fp_lanes) and sh = way mod fp_lanes * fp_shift in
+  meta.(w) <- meta.(w) land lnot (fp_lane_mask lsl sh) lor (fp lsl sh)
 
 (* Top level for the same no-closure reason as [fp_scan]. *)
-let rec victim_loop (stamp : int array) n i best =
+let rec victim_loop (stamp : int array) (tb : int) (n : int) (i : int)
+    (best : int) =
   if i >= n then best
   else
-    victim_loop stamp n (i + 1) (if stamp.(i) < stamp.(best) then i else best)
-
-let victim_way set = victim_loop set.stamp (Array.length set.stamp) 1 0
+    victim_loop stamp tb n (i + 1)
+      (if stamp.(tb + i) < stamp.(tb + best) then i else best)
 
 type outcome = Hit | Miss | Prefetched_hit
 
@@ -213,114 +231,64 @@ type outcome = Hit | Miss | Prefetched_hit
     NVM space — the caller charges the device write-back. *)
 type writeback = { wb_addr : int; wb_nvm : bool; wb_seq : bool }
 
-(* Install [line] in [set], evicting the LRU way.  Returns the way used;
-   a dirty eviction is recorded in the pending write-back slots. *)
-let install t set line ~fp ~write ~seq ~nvm =
-  let way = victim_way set in
-  let bit = 1 lsl way in
-  if set.dirty land bit <> 0 && set.tags.(way) >= 0 then begin
-    t.writebacks <- t.writebacks + 1;
-    t.wb_pending <- true;
-    t.wb_addr_q <- set.tags.(way) * line_bytes;
-    t.wb_nvm_q <- set.nvm land bit <> 0;
-    t.wb_seq_q <- set.seqw land bit <> 0
-  end;
-  set.tags.(way) <- line;
-  set_fp set way fp;
-  set.prefetched <- set.prefetched land lnot bit;
-  set.dirty <- (if write then set.dirty lor bit else set.dirty land lnot bit);
-  set.seqw <-
-    (if write && seq then set.seqw lor bit else set.seqw land lnot bit);
-  set.nvm <- (if nvm then set.nvm lor bit else set.nvm land lnot bit);
-  set.hint <- way;
-  touch t set way;
-  way
-
-(** [access_q t addr ~write ~nvm] looks up (and on miss, fills) the line
-    containing [addr].  Returns the outcome; when the fill evicted a
-    dirty line, the write-back is left in the pending slots (query with
-    {!wb_pending} before the next access).  Allocation-free. *)
-let access_q t addr ~write ~seq ~nvm =
-  t.wb_pending <- false;
-  let line = addr / line_bytes in
-  let h = hash_line line in
-  let fp = fp_of_hash h in
-  let set = t.sets.(h land t.set_mask) in
-  let way = find_way t set line ~fp in
-  if way >= 0 then begin
-    touch t set way;
-    let bit = 1 lsl way in
-    if write then begin
-      set.dirty <- set.dirty lor bit;
-      if seq then set.seqw <- set.seqw lor bit
-    end;
-    if set.prefetched land bit <> 0 then begin
-      set.prefetched <- set.prefetched land lnot bit;
-      t.prefetch_hits <- t.prefetch_hits + 1;
-      Prefetched_hit
-    end
-    else begin
-      t.hits <- t.hits + 1;
-      Hit
-    end
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    ignore (install t set line ~fp ~write ~seq ~nvm : int);
-    Miss
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Contiguous-run walk (bulk-transfer fast path)                       *)
-
-let run_wb_push t flags =
+let run_wb_push t entry =
   let n = t.run_wb_len in
   if n >= Array.length t.run_wb then begin
     let bigger = Array.make (2 * Array.length t.run_wb) 0 in
     Array.blit t.run_wb 0 bigger 0 n;
     t.run_wb <- bigger
   end;
-  t.run_wb.(n) <- flags;
+  t.run_wb.(n) <- entry;
   t.run_wb_len <- n + 1
 
-(* [install] for the run walk: per-way state changes identical to
-   {!install}, with a dirty eviction appended to the run buffer instead
-   of the pending slot. *)
-let install_run t set line ~fp ~write ~seq ~nvm =
-  let way = victim_way set in
+(* Install [line] in the set at [tb]/[mb], evicting the LRU way.  Returns
+   the way used; a dirty eviction is appended to the write-back
+   buffer. *)
+let install t ~tb ~mb line ~fp ~write ~seq ~nvm =
+  let meta = t.meta and tags = t.tags in
+  let way = victim_loop t.stamp tb t.ways 1 0 in
   let bit = 1 lsl way in
-  if set.dirty land bit <> 0 && set.tags.(way) >= 0 then begin
+  let dirty = meta.(mb + m_dirty) and seqw = meta.(mb + m_seqw) in
+  let nvm_mask = meta.(mb + m_nvm) in
+  let old = tags.(tb + way) in
+  if dirty land bit <> 0 && old >= 0 then begin
     t.writebacks <- t.writebacks + 1;
     run_wb_push t
-      ((if set.nvm land bit <> 0 then 1 else 0)
-      lor if set.seqw land bit <> 0 then 2 else 0)
+      ((old lsl 2)
+      lor (if nvm_mask land bit <> 0 then 1 else 0)
+      lor if seqw land bit <> 0 then 2 else 0)
   end;
-  set.tags.(way) <- line;
-  set_fp set way fp;
-  set.prefetched <- set.prefetched land lnot bit;
-  set.dirty <- (if write then set.dirty lor bit else set.dirty land lnot bit);
-  set.seqw <-
-    (if write && seq then set.seqw lor bit else set.seqw land lnot bit);
-  set.nvm <- (if nvm then set.nvm lor bit else set.nvm land lnot bit);
-  set.hint <- way;
-  touch t set way
+  tags.(tb + way) <- line;
+  set_fp meta ~mb way fp;
+  meta.(mb + m_prefetched) <- meta.(mb + m_prefetched) land lnot bit;
+  meta.(mb + m_dirty) <- (if write then dirty lor bit else dirty land lnot bit);
+  meta.(mb + m_seqw) <-
+    (if write && seq then seqw lor bit else seqw land lnot bit);
+  meta.(mb + m_nvm) <-
+    (if nvm then nvm_mask lor bit else nvm_mask land lnot bit);
+  meta.(mb + m_hint) <- way;
+  touch t ~tb way;
+  way
 
-(* One line of a run: lookup/fill exactly as {!access_q} (same counter
-   increments, same LRU/dirty/prefetched transitions), evictions
-   buffered. *)
+(* One line of a run: lookup, and on a miss fill, with the LRU/dirty/
+   prefetched transitions and counter increments of one demand access;
+   evictions buffered. *)
 let[@inline] run_line t h line ~write ~seq ~nvm =
   let fp = fp_of_hash h in
-  let set = t.sets.(h land t.set_mask) in
-  let way = find_way t set line ~fp in
+  let s = h land t.set_mask in
+  let tb = s lsl t.wshift and mb = s lsl t.mshift in
+  let way = find_way t ~tb ~mb line ~fp in
   if way >= 0 then begin
-    touch t set way;
+    touch t ~tb way;
+    let meta = t.meta in
     let bit = 1 lsl way in
     if write then begin
-      set.dirty <- set.dirty lor bit;
-      if seq then set.seqw <- set.seqw lor bit
+      meta.(mb + m_dirty) <- meta.(mb + m_dirty) lor bit;
+      if seq then meta.(mb + m_seqw) <- meta.(mb + m_seqw) lor bit
     end;
-    if set.prefetched land bit <> 0 then begin
-      set.prefetched <- set.prefetched land lnot bit;
+    let pf = meta.(mb + m_prefetched) in
+    if pf land bit <> 0 then begin
+      meta.(mb + m_prefetched) <- pf land lnot bit;
       t.prefetch_hits <- t.prefetch_hits + 1;
       Prefetched_hit
     end
@@ -331,7 +299,7 @@ let[@inline] run_line t h line ~write ~seq ~nvm =
   end
   else begin
     t.misses <- t.misses + 1;
-    install_run t set line ~fp ~write ~seq ~nvm;
+    ignore (install t ~tb ~mb line ~fp ~write ~seq ~nvm : int);
     Miss
   end
 
@@ -342,13 +310,12 @@ let[@inline] run_line t h line ~write ~seq ~nvm =
 let hash_step = 0x9E3779B1
 
 (** Walk the [lines] contiguous cache lines starting at [addr]: per-line
-    lookup/fill identical to [lines] successive {!access_q} calls, with
-    dirty evictions appended to the run buffer (read with
+    lookup/fill as [lines] successive demand accesses, with dirty
+    evictions appended to the write-back buffer (read with
     {!run_wb_count} / {!run_wb_nvm} / {!run_wb_seq}, valid until the
-    next run walk).  Returns the FIRST line's outcome — the only one the
-    latency charge depends on.  Allocation-free. *)
+    next walk or prefetch).  Returns the FIRST line's outcome — the only
+    one the latency charge depends on.  Allocation-free. *)
 let access_run t addr ~lines ~write ~seq ~nvm =
-  t.wb_pending <- false;
   t.run_wb_len <- 0;
   let line = addr / line_bytes in
   let h = hash_line line in
@@ -365,48 +332,50 @@ let run_wb_count t = t.run_wb_len
 let run_wb_nvm t i = t.run_wb.(i) land 1 <> 0
 let run_wb_seq t i = t.run_wb.(i) land 2 <> 0
 
-let wb_pending t = t.wb_pending
-let wb_nvm t = t.wb_nvm_q
-let wb_seq t = t.wb_seq_q
-let wb_addr t = t.wb_addr_q
-
-let pending_writeback t =
-  if t.wb_pending then
-    Some { wb_addr = t.wb_addr_q; wb_nvm = t.wb_nvm_q; wb_seq = t.wb_seq_q }
-  else None
+(* The buffered eviction (at most one after a single-line walk or a
+   prefetch) as a record, for the convenience entry points. *)
+let first_writeback t =
+  if t.run_wb_len = 0 then None
+  else
+    let e = t.run_wb.(0) in
+    Some
+      {
+        wb_addr = (e lsr 2) * line_bytes;
+        wb_nvm = e land 1 <> 0;
+        wb_seq = e land 2 <> 0;
+      }
 
 let access t addr ~write ~seq ~nvm =
-  let outcome = access_q t addr ~write ~seq ~nvm in
-  (outcome, pending_writeback t)
+  let outcome = access_run t addr ~lines:1 ~write ~seq ~nvm in
+  (outcome, first_writeback t)
 
 (** Insert a line ahead of use; the next demand access reports
     [Prefetched_hit].  Idempotent on resident lines.  Returns whether the
     line was actually fetched (false = already resident, no device
-    traffic); any dirty eviction the insertion forced is left in the
-    pending write-back slots.  Allocation-free. *)
+    traffic); any dirty eviction the insertion forced replaces the
+    write-back buffer's contents.  Allocation-free. *)
 let prefetch_q t addr ~nvm =
-  t.wb_pending <- false;
+  t.run_wb_len <- 0;
   let line = addr / line_bytes in
   let h = hash_line line in
   let fp = fp_of_hash h in
-  let set = t.sets.(h land t.set_mask) in
+  let s = h land t.set_mask in
+  let tb = s lsl t.wshift and mb = s lsl t.mshift in
   t.prefetch_issued <- t.prefetch_issued + 1;
-  let way = find_way t set line ~fp in
-  if way >= 0 then begin
-    (* Already resident: re-mark so the consumer still sees the cheap
-       path (prefetching a resident line costs nothing extra). *)
-    set.prefetched <- set.prefetched lor (1 lsl way);
-    false
-  end
-  else begin
-    let way = install t set line ~fp ~write:false ~seq:false ~nvm in
-    set.prefetched <- set.prefetched lor (1 lsl way);
-    true
-  end
+  let way = find_way t ~tb ~mb line ~fp in
+  (* Already resident: re-mark so the consumer still sees the cheap path
+     (prefetching a resident line costs nothing extra). *)
+  let fetched = way < 0 in
+  let way =
+    if fetched then install t ~tb ~mb line ~fp ~write:false ~seq:false ~nvm
+    else way
+  in
+  t.meta.(mb + m_prefetched) <- t.meta.(mb + m_prefetched) lor (1 lsl way);
+  fetched
 
 let prefetch t addr ~nvm =
   let fetched = prefetch_q t addr ~nvm in
-  (fetched, pending_writeback t)
+  (fetched, first_writeback t)
 
 (* Pure residency query: is the line containing [addr] resident and
    dirty?  Used by the crash model — dirty lines die with the cache, so
@@ -416,22 +385,21 @@ let prefetch t addr ~nvm =
 let line_dirty t addr =
   let line = addr / line_bytes in
   let h = hash_line line in
-  let set = t.sets.(h land t.set_mask) in
-  let way = fp_probe set line ~fp:(fp_of_hash h) ~ways:t.ways in
-  way >= 0 && set.dirty land (1 lsl way) <> 0
+  let s = h land t.set_mask in
+  let tb = s lsl t.wshift and mb = s lsl t.mshift in
+  let way = fp_probe t ~tb ~mb line ~fp:(fp_of_hash h) in
+  way >= 0 && t.meta.(mb + m_dirty) land (1 lsl way) <> 0
 
 (** Invalidate everything (used between independent simulation phases);
-    dirty contents are discarded, not written back. *)
+    dirty contents are discarded, not written back.  Way hints and LRU
+    stamps are kept. *)
 let clear t =
-  Array.iter
-    (fun set ->
-      Array.fill set.tags 0 (Array.length set.tags) (-1);
-      Array.fill set.fps 0 (Array.length set.fps) fp_absent_word;
-      set.prefetched <- 0;
-      set.dirty <- 0;
-      set.nvm <- 0;
-      set.seqw <- 0)
-    t.sets
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  for s = 0 to t.nsets - 1 do
+    let mb = s lsl t.mshift in
+    Array.fill t.meta (mb + m_prefetched) (m_fps - m_prefetched) 0;
+    Array.fill t.meta (mb + m_fps) t.fp_words fp_absent_word
+  done
 
 let hits t = t.hits
 let misses t = t.misses

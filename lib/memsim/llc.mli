@@ -12,44 +12,42 @@ type writeback = { wb_addr : int; wb_nvm : bool; wb_seq : bool }
     [wb_seq] marks lines dirtied by streaming writes (drain sequentially). *)
 
 val create : capacity_bytes:int -> ways:int -> t
-(** Set count is rounded down to a power of two. *)
+(** Set count is rounded down to a power of two.  Makes a constant
+    number of allocations whatever the set count: the state of all sets
+    lives in three flat int arrays (tags, LRU stamps, and a metadata
+    block per set — 8 words, one cache line, up to 21 ways), so a large cache costs a few major-heap
+    blocks rather than several small blocks per set. *)
 
 val capacity_bytes : t -> int
 
 val access :
   t -> int -> write:bool -> seq:bool -> nvm:bool -> outcome * writeback option
 (** Demand access to the line containing the address; fills on miss,
-    marking the line dirty on writes and tagging its backing space. *)
+    marking the line dirty on writes and tagging its backing space.
+    Exactly a one-line {!access_run}, with its eviction (if any) read
+    back as a record. *)
 
 val prefetch : t -> int -> nvm:bool -> bool * writeback option
 (** Software prefetch: inserts (or marks) the line so the next demand
     access reports [Prefetched_hit].  Returns whether the line was
     actually fetched (false = already resident, no device traffic). *)
 
-(** Allocation-free variants of {!access}/{!prefetch} for the simulation
-    hot path: instead of materializing a [writeback option], a dirty
-    eviction is recorded in pending slots on [t], valid until the next
-    [_q] call.  Query with {!wb_pending} / {!wb_nvm} / {!wb_seq} /
-    {!wb_addr} immediately after the call. *)
-
-val access_q : t -> int -> write:bool -> seq:bool -> nvm:bool -> outcome
-val prefetch_q : t -> int -> nvm:bool -> bool
-val wb_pending : t -> bool
-val wb_nvm : t -> bool
-val wb_seq : t -> bool
-val wb_addr : t -> int
-
 val access_run :
   t -> int -> lines:int -> write:bool -> seq:bool -> nvm:bool -> outcome
 (** Walk the [lines] contiguous cache lines starting at the given
     address: state transitions and counters identical to [lines]
-    successive {!access_q} calls, but dirty evictions accumulate in a
-    run buffer instead of the single pending slot, and the line hash is
-    stepped incrementally instead of recomputed.  Returns the {e first}
-    line's outcome (the only one the latency charge depends on).  Query
-    the buffered evictions with {!run_wb_count} / {!run_wb_nvm} /
-    {!run_wb_seq}; they stay valid until the next run walk.
-    Allocation-free after the buffer warms up. *)
+    successive one-line demand accesses, with dirty evictions collected
+    in the write-back buffer and the line hash stepped incrementally
+    instead of recomputed.  Returns the {e first} line's outcome (the
+    only one the latency charge depends on).  Query the buffered
+    evictions with {!run_wb_count} / {!run_wb_nvm} / {!run_wb_seq}; they
+    stay valid until the next walk or {!prefetch_q}.  Allocation-free
+    after the buffer warms up. *)
+
+val prefetch_q : t -> int -> nvm:bool -> bool
+(** Allocation-free {!prefetch}: a dirty eviction forced by the insertion
+    (at most one) replaces the write-back buffer's contents, read as
+    after {!access_run}. *)
 
 val run_wb_count : t -> int
 val run_wb_nvm : t -> int -> bool

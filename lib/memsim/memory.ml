@@ -302,26 +302,10 @@ let[@inline] wb_device_charge t ~now_ns ~nvm ~seq =
     Simstats.Timeseries.add t.trace_write.(idx) ~time_ns:now_ns
       (float_of_int Llc.line_bytes)
 
-(* Evicted dirty lines are posted write-backs: flush-pipeline traffic
-   regardless of which subsystem dirtied the line. *)
-let charge_writeback_sc t ~now_ns ~nvm ~seq =
-  wb_device_charge t ~now_ns ~nvm ~seq;
-  match Nvmtrace.Hooks.recorder () with
-  | None -> ()
-  | Some r ->
-      Nvmtrace.Recorder.traffic r ~from_ns:now_ns ~until_ns:now_ns ~nvm
-        ~write:true ~cause:Nvmtrace.Recorder.Flush_pipe
-        ~bytes:(float_of_int Llc.line_bytes)
-
-(* Charge the dirty eviction (if any) left pending by the last [Llc]
-   [_q] call. *)
-let charge_pending_wb t ~now_ns =
-  if Llc.wb_pending t.llc then
-    charge_writeback_sc t ~now_ns ~nvm:(Llc.wb_nvm t.llc)
-      ~seq:(Llc.wb_seq t.llc)
-
-(* Drain the dirty evictions buffered by an {!Llc.access_run} walk, in
-   eviction order.  Float-for-float identical to the retired interleaved
+(* Drain the dirty evictions buffered by an {!Llc.access_run} walk or an
+   {!Llc.prefetch_q}, in eviction order.  Evicted dirty lines are posted
+   write-backs: flush-pipeline traffic regardless of which subsystem
+   dirtied the line.  Float-for-float identical to the retired interleaved
    probe/charge loop: a write-back charge reads no LLC state and a probe
    reads no mix/pipe state, so only the order AMONG the charges is
    observable — and that order is preserved.  Recorder attribution is
@@ -503,7 +487,11 @@ let access ?force_device t ~now_ns ~addr (a : Access.t) =
     consumes read bandwidth.  Returns the (small) issue cost. *)
 let prefetch t ~now_ns ~addr space =
   let fetched = Llc.prefetch_q t.llc addr ~nvm:(space = Access.Nvm) in
-  charge_pending_wb t ~now_ns;
+  (* At most one eviction, so the batched recorder delta is one line.
+     Guarded so the common eviction-free prefetch skips the recorder
+     lookup. *)
+  if Llc.run_wb_count t.llc > 0 then
+    drain_run_wbs t ~now_ns (Nvmtrace.Hooks.recorder ());
   if fetched then begin
     (* the prefetched line occupies the device pipe like any other read *)
     record_mix t space ~now_ns ~bytes:Llc.line_bytes Access.Read Access.Random;

@@ -165,6 +165,216 @@ let test_llc_capacity_behaviour () =
   check_bool "small working set mostly hits" true
     (Memsim.Llc.hits llc >= 2 * 64)
 
+(* The LLC's state lives in a constant number of flat arrays: creating a
+   64 MiB cache (65,536 sets) must not allocate small per-set blocks in
+   the minor heap.  A per-set record-plus-arrays layout costs about 2.4 M
+   minor words here. *)
+let test_llc_create_allocation () =
+  let before = Gc.minor_words () in
+  let llc = Memsim.Llc.create ~capacity_bytes:(64 lsl 20) ~ways:11 in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity llc);
+  check_bool
+    (Printf.sprintf "create allocates < 1000 minor words (got %.0f)" words)
+    true (words < 1000.0)
+
+(* Reference model for the property below: each set is a plain list of
+   resident lines, most recently used first.  Fills take a free way while
+   the set has one, otherwise evict the list's last entry; a prefetch of a
+   resident line re-marks it without reordering. *)
+type ref_line = {
+  rl_line : int;
+  mutable rl_dirty : bool;
+  mutable rl_seq : bool;
+  rl_nvm : bool;
+  mutable rl_pf : bool;
+}
+
+type ref_llc = {
+  r_ways : int;
+  r_sets : ref_line list array;
+  mutable r_hits : int;
+  mutable r_misses : int;
+  mutable r_pf_hits : int;
+  mutable r_pf_issued : int;
+  mutable r_wbs : int;
+}
+
+let ref_create ~nsets ~ways =
+  {
+    r_ways = ways;
+    r_sets = Array.make nsets [];
+    r_hits = 0;
+    r_misses = 0;
+    r_pf_hits = 0;
+    r_pf_issued = 0;
+    r_wbs = 0;
+  }
+
+(* The model shares only the documented set-index hash with [Llc]. *)
+let ref_set r line =
+  line * 0x9E3779B1 land max_int land (Array.length r.r_sets - 1)
+
+(* Insert [entry] as MRU; returns the dirty eviction as (addr, nvm, seq). *)
+let ref_install r s entry =
+  let lines = r.r_sets.(s) in
+  let kept, evicted =
+    if List.length lines < r.r_ways then (lines, None)
+    else
+      let rev = List.rev lines in
+      (List.rev (List.tl rev), Some (List.hd rev))
+  in
+  r.r_sets.(s) <- entry :: kept;
+  match evicted with
+  | Some e when e.rl_dirty ->
+      r.r_wbs <- r.r_wbs + 1;
+      Some (e.rl_line * 64, e.rl_nvm, e.rl_seq)
+  | _ -> None
+
+let ref_access r line ~write ~seq ~nvm =
+  let s = ref_set r line in
+  match List.find_opt (fun e -> e.rl_line = line) r.r_sets.(s) with
+  | Some e ->
+      r.r_sets.(s) <- e :: List.filter (fun x -> x != e) r.r_sets.(s);
+      if write then begin
+        e.rl_dirty <- true;
+        if seq then e.rl_seq <- true
+      end;
+      if e.rl_pf then begin
+        e.rl_pf <- false;
+        r.r_pf_hits <- r.r_pf_hits + 1;
+        (Memsim.Llc.Prefetched_hit, None)
+      end
+      else begin
+        r.r_hits <- r.r_hits + 1;
+        (Memsim.Llc.Hit, None)
+      end
+  | None ->
+      r.r_misses <- r.r_misses + 1;
+      let entry =
+        {
+          rl_line = line;
+          rl_dirty = write;
+          rl_seq = write && seq;
+          rl_nvm = nvm;
+          rl_pf = false;
+        }
+      in
+      (Memsim.Llc.Miss, ref_install r s entry)
+
+let ref_prefetch r line ~nvm =
+  r.r_pf_issued <- r.r_pf_issued + 1;
+  let s = ref_set r line in
+  match List.find_opt (fun e -> e.rl_line = line) r.r_sets.(s) with
+  | Some e ->
+      e.rl_pf <- true;
+      (false, None)
+  | None ->
+      let entry =
+        { rl_line = line; rl_dirty = false; rl_seq = false; rl_nvm = nvm;
+          rl_pf = true }
+      in
+      (true, ref_install r s entry)
+
+let ref_line_dirty r line =
+  List.exists (fun e -> e.rl_line = line && e.rl_dirty) r.r_sets.(ref_set r line)
+
+type llc_op =
+  | Run of { line : int; lines : int; write : bool; seq : bool; nvm : bool;
+             via_record : bool }
+  | Prefetch of { line : int; nvm : bool }
+  | Dirty of int
+  | Clear
+
+let show_llc_op = function
+  | Run { line; lines; write; seq; nvm; via_record } ->
+      Printf.sprintf "run(%d,%d,w=%b,s=%b,n=%b,rec=%b)" line lines write seq nvm
+        via_record
+  | Prefetch { line; nvm } -> Printf.sprintf "prefetch(%d,n=%b)" line nvm
+  | Dirty line -> Printf.sprintf "dirty(%d)" line
+  | Clear -> "clear"
+
+let gen_llc_op ~span =
+  let open QCheck2.Gen in
+  let line = int_range 0 span in
+  frequency
+    [
+      ( 12,
+        map
+          (fun (line, lines, (write, seq, nvm, via_record)) ->
+            Run { line; lines; write; seq; nvm; via_record })
+          (triple line (int_range 1 8) (quad bool bool bool bool)) );
+      (3, map2 (fun line nvm -> Prefetch { line; nvm }) line bool);
+      (3, map (fun l -> Dirty l) line);
+      (1, pure Clear);
+    ]
+
+let prop_llc_matches_reference =
+  QCheck2.Test.make ~name:"llc agrees with a per-set MRU-list model" ~count:300
+    ~print:(fun (ways, nsets, ops) ->
+      Printf.sprintf "ways=%d nsets=%d [%s]" ways nsets
+        (String.concat "; " (List.map show_llc_op ops)))
+    QCheck2.Gen.(
+      int_range 1 16 >>= fun ways ->
+      int_range 0 3 >>= fun k ->
+      let nsets = 1 lsl k in
+      (* about four cache capacities' worth of distinct lines *)
+      let span = 4 * ways * nsets in
+      map
+        (fun ops -> (ways, nsets, ops))
+        (list_size (int_range 1 300) (gen_llc_op ~span)))
+    (fun (ways, nsets, ops) ->
+      let llc = Memsim.Llc.create ~capacity_bytes:(nsets * ways * 64) ~ways in
+      let r = ref_create ~nsets ~ways in
+      let run_wbs () =
+        List.init (Memsim.Llc.run_wb_count llc) (fun i ->
+            (Memsim.Llc.run_wb_nvm llc i, Memsim.Llc.run_wb_seq llc i))
+      in
+      let flags = List.map (fun (_, nvm, seq) -> (nvm, seq)) in
+      let step op =
+        match op with
+        | Run { line; lines = 1; write; seq; nvm; via_record = true } ->
+            let outcome, wb = Memsim.Llc.access llc (line * 64) ~write ~seq ~nvm in
+            let wb =
+              Option.map
+                (fun w -> Memsim.Llc.(w.wb_addr, w.wb_nvm, w.wb_seq))
+                wb
+            in
+            (outcome, wb) = ref_access r line ~write ~seq ~nvm
+        | Run { line; lines; write; seq; nvm; _ } ->
+            let first =
+              Memsim.Llc.access_run llc ((line * 64) + 17) ~lines ~write ~seq
+                ~nvm
+            in
+            let outcomes, wbs =
+              List.split
+                (List.init lines (fun i ->
+                     ref_access r (line + i) ~write ~seq ~nvm))
+            in
+            first = List.hd outcomes
+            && run_wbs () = flags (List.filter_map Fun.id wbs)
+        | Prefetch { line; nvm } ->
+            let fetched = Memsim.Llc.prefetch_q llc (line * 64) ~nvm in
+            let fetched', wb = ref_prefetch r line ~nvm in
+            fetched = fetched' && run_wbs () = flags (Option.to_list wb)
+        | Dirty line ->
+            Memsim.Llc.line_dirty llc ((line * 64) + 63) = ref_line_dirty r line
+        | Clear ->
+            Memsim.Llc.clear llc;
+            Array.fill r.r_sets 0 nsets [];
+            true
+      in
+      Memsim.Llc.capacity_bytes llc = nsets * ways * 64
+      && List.for_all
+           (fun op ->
+             step op
+             && Memsim.Llc.hits llc = r.r_hits
+             && Memsim.Llc.misses llc = r.r_misses
+             && Memsim.Llc.prefetch_hits llc = r.r_pf_hits
+             && Memsim.Llc.prefetch_issued llc = r.r_pf_issued
+             && Memsim.Llc.writebacks llc = r.r_wbs)
+           ops)
+
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)
 
@@ -481,6 +691,9 @@ let () =
           Alcotest.test_case "capacity rounding" `Quick test_llc_capacity_rounding;
           Alcotest.test_case "clear" `Quick test_llc_clear;
           Alcotest.test_case "capacity behaviour" `Quick test_llc_capacity_behaviour;
+          Alcotest.test_case "create allocation" `Quick
+            test_llc_create_allocation;
+          qc prop_llc_matches_reference;
         ] );
       ( "memory",
         [
