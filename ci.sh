@@ -87,6 +87,31 @@ dune exec bin/nvmgc_cli.exe -- all --gc-scale 0.05 --jobs "$jobs" \
 echo "all-figures smoke (--jobs $jobs): $(($(date +%s) - start))s," \
   "$(wc -l < "$tmp/all.out") lines"
 
+# Verification is pure observation at the CLI too: the release `fig fig5`
+# output (all 19 apps, every setup) must be byte-identical with the
+# invariant walker and oracle armed (the default) and with --no-verify.
+# The ledger pins only four apps.  The timing line shows what
+# verification costs in user CPU.
+dune build --profile release bin/nvmgc_cli.exe
+cli=_build/default/bin/nvmgc_cli.exe
+( "$cli" fig fig5 --gc-scale 0.25 > "$tmp/fig5.verified"
+  times > "$tmp/cpu.verified" )
+( "$cli" fig fig5 --gc-scale 0.25 --no-verify > "$tmp/fig5.no-verify"
+  times > "$tmp/cpu.no-verify" )
+if ! cmp -s "$tmp/fig5.verified" "$tmp/fig5.no-verify"; then
+  echo "ci: verification perturbed fig5 output" >&2
+  diff "$tmp/fig5.verified" "$tmp/fig5.no-verify" >&2 || true
+  exit 1
+fi
+# `times` line 2 is the children's user and system CPU, e.g. "0m3.21s".
+user_cpu() {
+  awk 'NR == 2 { split($1, t, /[ms]/); print t[1] * 60 + t[2] }' "$1"
+}
+v=$(user_cpu "$tmp/cpu.verified")
+nv=$(user_cpu "$tmp/cpu.no-verify")
+echo "fig5 verification overhead: ${v}s verified, ${nv}s --no-verify user CPU" \
+  "($(awk -v v="$v" -v nv="$nv" 'BEGIN { printf "%.2f", v / nv }')x)"
+
 # Engine-throughput gates, release profile.  The dev profile passes
 # -opaque, which disables all cross-module inlining — the recorded
 # baselines assume the inlined (release) build, the configuration the

@@ -157,6 +157,12 @@ let lookup t addr =
   let i = Addr_table.find t.addr_map addr in
   if i < 0 then None else Some (Addr_table.value t.addr_map i)
 
+(* Allocation-free [lookup] for verification walks, which probe once per
+   reference field of every live object: [Some] would allocate per probe. *)
+let lookup_or_dummy t addr =
+  let i = Addr_table.find t.addr_map addr in
+  if i < 0 then Region.dummy_obj else Addr_table.value t.addr_map i
+
 let lookup_exn t addr =
   let i = Addr_table.find t.addr_map addr in
   if i < 0 then invalid_arg "Heap.lookup_exn: unmapped address"

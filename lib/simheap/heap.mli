@@ -37,6 +37,11 @@ val in_heap_range : t -> int -> bool
 val region_of_addr : t -> int -> Region.t
 
 val lookup : t -> int -> Objmodel.t option
+val lookup_or_dummy : t -> int -> Objmodel.t
+(** Allocation-free {!lookup}: {!Region.dummy_obj} when [addr] is
+    unbound (compare with [==]), the same idiom as
+    {!Simstats.Vec.pop_or_dummy}. *)
+
 val lookup_exn : t -> int -> Objmodel.t
 val bind : t -> int -> Objmodel.t -> unit
 val unbind : t -> int -> unit

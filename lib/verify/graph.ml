@@ -30,14 +30,20 @@ let field_name = function
   | FLive id -> Printf.sprintf "obj:%d" id
   | FDangling addr -> Printf.sprintf "dangling:0x%x" addr
 
+(* Placement-erased referent, through the full address table. *)
+let classify heap addr =
+  if addr = Simheap.Layout.null then FNull
+  else
+    let obj = H.lookup_or_dummy heap addr in
+    if obj == Simheap.Region.dummy_obj then FDangling addr else FLive obj.O.id
+
+let field_equal a b =
+  match (a, b) with
+  | FNull, FNull -> true
+  | FLive x, FLive y | FDangling x, FDangling y -> x = y
+  | (FNull | FLive _ | FDangling _), _ -> false
+
 let capture heap =
-  let classify addr =
-    if addr = Simheap.Layout.null then FNull
-    else
-      match H.lookup heap addr with
-      | Some obj -> FLive obj.O.id
-      | None -> FDangling addr
-  in
   let nodes = ref [] in
   H.iter_bindings
     (fun _addr (obj : O.t) ->
@@ -45,7 +51,7 @@ let capture heap =
         {
           id = obj.O.id;
           size = obj.O.size;
-          fields = Array.map classify obj.O.fields;
+          fields = Array.map (classify heap) obj.O.fields;
         }
         :: !nodes)
     heap;
@@ -54,7 +60,8 @@ let capture heap =
   let roots = ref [] in
   Simstats.Vec.iter
     (fun (r : O.root) ->
-      roots := { root_id = r.O.root_id; target = classify r.O.target } :: !roots)
+      roots :=
+        { root_id = r.O.root_id; target = classify heap r.O.target } :: !roots)
     (H.roots heap);
   let roots = Array.of_list !roots in
   Array.sort (fun (a : root) b -> compare a.root_id b.root_id) roots;
@@ -68,13 +75,6 @@ let capture heap =
    makes the comparison placement-erased (a reference slot matches its
    pre-crash value whether or not its update was lost). *)
 let capture_objects heap objs =
-  let classify addr =
-    if addr = Simheap.Layout.null then FNull
-    else
-      match H.lookup heap addr with
-      | Some obj -> FLive obj.O.id
-      | None -> FDangling addr
-  in
   let nodes =
     Array.of_list
       (List.map
@@ -82,7 +82,7 @@ let capture_objects heap objs =
            {
              id = obj.O.id;
              size = obj.O.size;
-             fields = Array.map classify obj.O.fields;
+             fields = Array.map (classify heap) obj.O.fields;
            })
          objs)
   in
@@ -128,7 +128,7 @@ let diff ~expected ~got =
           else
             Array.iteri
               (fun i f ->
-                if f <> en.fields.(i) then
+                if not (field_equal f en.fields.(i)) then
                   add "object %d field %d: %s, expected %s" n.id i
                     (field_name f)
                     (field_name en.fields.(i)))
@@ -146,7 +146,7 @@ let diff ~expected ~got =
       match Hashtbl.find_opt e_roots r.root_id with
       | None -> add "root %d not expected" r.root_id
       | Some target ->
-          if r.target <> target then
+          if not (field_equal r.target target) then
             add "root %d: %s, expected %s" r.root_id (field_name r.target)
               (field_name target))
     got.roots;
@@ -197,7 +197,7 @@ let closed_within ~pre sub =
                     add "recovered object %d field %d dangles at 0x%x" n.id i
                       addr
                 | FNull | FLive _ ->
-                    if f <> en.fields.(i) then
+                    if not (field_equal f en.fields.(i)) then
                       add "recovered object %d field %d: %s, pre-crash %s" n.id
                         i (field_name f)
                         (field_name en.fields.(i)))

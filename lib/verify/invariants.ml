@@ -47,32 +47,40 @@ let check_free_region ctx (r : R.t) =
   if r.R.in_cset then
     violation ctx "%s: free region still marked in_cset" (region_name r)
 
+let unbound heap addr =
+  addr <> Simheap.Layout.null && H.lookup_or_dummy heap addr == R.dummy_obj
+
+(* The subject of a per-object violation, built only once one is
+   reported: this walk visits every old object after every pause. *)
+let where (r : R.t) (obj : O.t) =
+  Printf.sprintf "object %d @0x%x in %s" obj.O.id obj.O.addr (region_name r)
+
 (* One live object, reached through the region that stores it. *)
 let check_live_object ctx heap (r : R.t) (obj : O.t) =
-  let where = Printf.sprintf "object %d @0x%x in %s" obj.O.id obj.O.addr
-      (region_name r)
-  in
   if not (R.contains r obj.O.addr) then
-    violation ctx "%s: recorded in a region that does not contain it" where;
-  (match H.lookup heap obj.O.addr with
-  | Some bound when bound == obj -> ()
-  | Some bound ->
-      violation ctx "%s: address table binds a different object (id %d)"
-        where bound.O.id
-  | None -> violation ctx "%s: address not bound in the address table" where);
+    violation ctx "%s: recorded in a region that does not contain it"
+      (where r obj);
+  let bound = H.lookup_or_dummy heap obj.O.addr in
+  if bound == R.dummy_obj then
+    violation ctx "%s: address not bound in the address table" (where r obj)
+  else if bound != obj then
+    violation ctx "%s: address table binds a different object (id %d)"
+      (where r obj) bound.O.id;
   if obj.O.forward <> Simheap.Layout.null then
-    violation ctx "%s: forwarding pointer 0x%x survived the pause" where
-      obj.O.forward;
+    violation ctx "%s: forwarding pointer 0x%x survived the pause"
+      (where r obj) obj.O.forward;
   if obj.O.cached then
-    violation ctx "%s: still marked cached after all pairs flushed" where;
+    violation ctx "%s: still marked cached after all pairs flushed"
+      (where r obj);
   if obj.O.phys <> obj.O.addr then
-    violation ctx "%s: phys 0x%x differs from addr after flush" where
+    violation ctx "%s: phys 0x%x differs from addr after flush" (where r obj)
       obj.O.phys;
-  Array.iteri
-    (fun i f ->
-      if f <> Simheap.Layout.null && H.lookup heap f = None then
-        violation ctx "%s: field %d dangles (0x%x unbound)" where i f)
-    obj.O.fields
+  let fields = obj.O.fields in
+  for i = 0 to Array.length fields - 1 do
+    if unbound heap fields.(i) then
+      violation ctx "%s: field %d dangles (0x%x unbound)" (where r obj) i
+        fields.(i)
+  done
 
 let check_old_region ctx heap (r : R.t) =
   if r.R.in_cset then
@@ -91,7 +99,7 @@ let check_old_region ctx heap (r : R.t) =
   Simstats.Vec.iter
     (fun slot ->
       let referent = O.slot_referent slot in
-      if referent <> Simheap.Layout.null && H.lookup heap referent = None then
+      if unbound heap referent then
         violation ctx "%s: remset entry dangles (0x%x unbound)"
           (region_name r) referent)
     r.R.remset
@@ -170,9 +178,7 @@ let run gc =
   (* Roots must point at live bindings (or null). *)
   Simstats.Vec.iter
     (fun (root : O.root) ->
-      if root.O.target <> Simheap.Layout.null
-         && H.lookup heap root.O.target = None
-      then
+      if unbound heap root.O.target then
         violation ctx "root %d dangles (0x%x unbound)" root.O.root_id
           root.O.target)
     (H.roots heap);

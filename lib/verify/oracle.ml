@@ -1,114 +1,122 @@
 (** Reference oracle collector.
 
     A deliberately dumb single-threaded semispace copy — no write cache,
-    no header map, no stealing, no cost model — run against a pre-pause
-    snapshot of the young generation.  Whatever the production engine's
-    optimizations do to the {e timing}, the surviving object set, their
-    sizes, and the post-pause reference graph must match this oracle
+    no header map, no stealing, no cost model.  Whatever the production
+    engine's optimizations do to the {e timing}, the surviving object set,
+    their sizes, and the post-pause reference graph must match this oracle
     exactly; {!diff} checks that after the pause completes.
 
-    The snapshot is taken at the start of {!Nvmgc.Young_gc.collect}
-    (before any evacuation work) and deep-copies every young object's
-    reference fields, because the real collector updates those arrays in
-    place.  Liveness mirrors the engine's seeding rule: the transitive
-    closure from the collection-set remembered sets and the non-null
-    mutator roots, traversing only objects inside the collection set. *)
+    The oracle collects inside {!snapshot}, which runs at the start of
+    {!Nvmgc.Young_gc.collect} before any evacuation work: the live heap is
+    still the pre-pause heap, so the closure runs on it directly and only
+    its outcome is kept, as ints.  Nothing is deep-copied.  Liveness
+    mirrors the engine's seeding rule: the transitive closure from the
+    collection-set remembered sets and the non-null mutator roots,
+    traversing only objects inside the collection set. *)
 
 module R = Simheap.Region
 module O = Simheap.Objmodel
 module H = Simheap.Heap
+module V = Simstats.Vec
 
-(** How a reference field (or anchor slot) relates to the young
-    generation of the snapshotted pause. *)
-type field_class =
-  | FNull
-  | FYoung of int  (** live young object, named by its stable id *)
-  | FOut of int  (** address outside the collection set — must not move *)
+(* How a reference field (or anchor slot) relates to the young generation
+   of the snapshotted pause, as an int: [0] null, [-(id + 1)] the young
+   object [id] (named by its stable id — the copy may go anywhere), and a
+   positive value an address outside the collection set, which must not
+   move. *)
+let young_class id = -(id + 1)
 
-let class_name = function
-  | FNull -> "null"
-  | FYoung id -> Printf.sprintf "young:%d" id
-  | FOut addr -> Printf.sprintf "out:0x%x" addr
+let class_name c =
+  if c = Simheap.Layout.null then "null"
+  else if c < 0 then Printf.sprintf "young:%d" (-c - 1)
+  else Printf.sprintf "out:0x%x" c
 
-(* A young object as it existed when the pause began. *)
-type snap_obj = { id : int; size : int; fields : int array }
-
-(* A reference the collector must process: a root or a remset slot.  The
-   [slot] is the live mutable cell (readable again after the pause); [pre]
-   is its referent at snapshot time. *)
-type anchor = { slot : O.slot; pre : int }
+(* [young.(id - lo)]: [not_young], [dead] (young but unreachable), or the
+   survivor's ordinal. *)
+let not_young = -2
+let dead = -1
 
 type snapshot = {
-  young : (int, snap_obj) Hashtbl.t;  (** pre-pause address -> object *)
-  ids : (int, snap_obj) Hashtbl.t;  (** id -> object, for post-pause diffs *)
-  anchors : anchor list;
+  lo : int;  (** smallest young id *)
+  young : int array;
+  sizes : int array;  (** ordinal -> size *)
+  first : int array;
+      (** survivor [k]'s field classes are [classes.(first.(k))] up to,
+          excluding, [classes.(first.(k + 1))] *)
+  classes : int array;
+  slots : O.slot array;  (** anchors: cset remset slots, then roots *)
+  anchor_classes : int array;  (** each anchor's pre-pause class *)
 }
+
+let in_young_region heap addr =
+  H.in_heap_range heap addr
+  &&
+  match (H.region_of_addr heap addr).R.kind with
+  | R.Eden | R.Survivor -> true
+  | R.Free | R.Old | R.Cache -> false
 
 let snapshot gc =
   let heap = Nvmgc.Young_gc.heap gc in
-  let young = Hashtbl.create 1024 in
-  let ids = Hashtbl.create 1024 in
+  let young_objs = V.create R.dummy_obj in
+  let lo = ref max_int and hi = ref (-1) in
   H.iter_bindings
     (fun addr (obj : O.t) ->
-      let in_young_region =
-        H.in_heap_range heap addr
-        &&
-        match (H.region_of_addr heap addr).R.kind with
-        | R.Eden | R.Survivor -> true
-        | R.Free | R.Old | R.Cache -> false
-      in
-      if in_young_region then begin
-        let so =
-          { id = obj.O.id; size = obj.O.size; fields = Array.copy obj.O.fields }
-        in
-        Hashtbl.replace young addr so;
-        Hashtbl.replace ids so.id so
+      if in_young_region heap addr then begin
+        V.push young_objs obj;
+        lo := Int.min !lo obj.O.id;
+        hi := Int.max !hi obj.O.id
       end)
     heap;
-  let anchors = ref [] in
-  List.iter
-    (fun (r : R.t) ->
-      Simstats.Vec.iter
-        (fun slot ->
-          anchors := { slot; pre = O.slot_referent slot } :: !anchors)
-        r.R.remset)
-    (H.young_regions heap);
-  Simstats.Vec.iter
-    (fun (root : O.root) ->
-      if root.O.target <> Simheap.Layout.null then
-        anchors := { slot = O.Root root; pre = root.O.target } :: !anchors)
-    (H.roots heap);
-  { young; ids; anchors = !anchors }
-
-(* ------------------------------------------------------------------ *)
-(* The oracle collection: reachability copy over the snapshot.         *)
-
-(* Returns the surviving ids and, per survivor, the classified reference
-   graph.  Addresses play no role in the result — the real collector is
-   free to place copies anywhere. *)
-let collect snap =
-  let survivors = Hashtbl.create 256 in
-  (* id -> field_class array *)
-  let graph = Hashtbl.create 256 in
-  let pending = Queue.create () in
+  let lo = if !hi < 0 then 0 else !lo in
+  let young = Array.make (!hi - lo + 1) not_young in
+  V.iter (fun (obj : O.t) -> young.(obj.O.id - lo) <- dead) young_objs;
+  (* Breadth-first: [survivors] is both the result and the queue, and
+     classifying a young referent marks it reached. *)
+  let survivors = V.create R.dummy_obj in
   let classify addr =
-    if addr = Simheap.Layout.null then FNull
-    else
-      match Hashtbl.find_opt snap.young addr with
-      | None -> FOut addr
-      | Some so ->
-          if not (Hashtbl.mem survivors so.id) then begin
-            Hashtbl.replace survivors so.id so;
-            Queue.push so pending
-          end;
-          FYoung so.id
+    let obj =
+      if in_young_region heap addr then H.lookup_or_dummy heap addr
+      else R.dummy_obj
+    in
+    if obj == R.dummy_obj then addr
+    else begin
+      let k = obj.O.id - lo in
+      if young.(k) = dead then begin
+        young.(k) <- V.length survivors;
+        V.push survivors obj
+      end;
+      young_class obj.O.id
+    end
   in
-  List.iter (fun a -> ignore (classify a.pre)) snap.anchors;
-  while not (Queue.is_empty pending) do
-    let so = Queue.pop pending in
-    Hashtbl.replace graph so.id (Array.map classify so.fields)
+  let slots = V.create R.dummy_slot and anchor_classes = V.create 0 in
+  let anchor slot =
+    V.push slots slot;
+    V.push anchor_classes (classify (O.slot_referent slot))
+  in
+  List.iter (fun (r : R.t) -> V.iter anchor r.R.remset) (H.young_regions heap);
+  V.iter
+    (fun (root : O.root) ->
+      if root.O.target <> Simheap.Layout.null then anchor (O.Root root))
+    (H.roots heap);
+  let sizes = V.create 0 and first = V.create 0 and classes = V.create 0 in
+  let k = ref 0 in
+  while !k < V.length survivors do
+    let obj = V.get survivors !k in
+    V.push sizes obj.O.size;
+    V.push first (V.length classes);
+    Array.iter (fun f -> V.push classes (classify f)) obj.O.fields;
+    incr k
   done;
-  (survivors, graph)
+  V.push first (V.length classes);
+  {
+    lo;
+    young;
+    sizes = V.to_array sizes;
+    first = V.to_array first;
+    classes = V.to_array classes;
+    slots = V.to_array slots;
+    anchor_classes = V.to_array anchor_classes;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Diffing the real post-pause heap against the oracle.                *)
@@ -124,101 +132,91 @@ let mismatch ctx fmt =
       if ctx.count <= max_messages then ctx.msgs <- msg :: ctx.msgs)
     fmt
 
+let entry snap id =
+  let k = id - snap.lo in
+  if k >= 0 && k < Array.length snap.young then snap.young.(k) else not_young
+
+(* Classify a post-pause referent the way the snapshot classified a
+   pre-pause one: objects young when the pause began by id, everything
+   else by (stable) address. *)
+let post_class snap heap addr =
+  if addr = Simheap.Layout.null then addr
+  else
+    let obj = H.lookup_or_dummy heap addr in
+    if entry snap obj.O.id <> not_young then young_class obj.O.id else addr
+
+(* Size and per-field reference graph of the real copy of survivor [k]. *)
+let check_survivor ctx snap heap (obj : O.t) k =
+  let id = obj.O.id in
+  if obj.O.size <> snap.sizes.(k) then
+    mismatch ctx "object %d: size %d after evacuation, %d before" id
+      obj.O.size snap.sizes.(k);
+  let base = snap.first.(k) in
+  let expected = snap.first.(k + 1) - base in
+  let fields = obj.O.fields in
+  if Array.length fields <> expected then
+    mismatch ctx "object %d: field count changed (%d -> %d)" id expected
+      (Array.length fields)
+  else
+    for i = 0 to expected - 1 do
+      let want = snap.classes.(base + i) in
+      let got = post_class snap heap fields.(i) in
+      if got <> want then
+        mismatch ctx "object %d field %d: oracle %s, collector %s" id i
+          (class_name want) (class_name got)
+    done
+
 (** Diff the heap of [gc] (after the pause finished) against what the
     oracle computed from the pre-pause [snap].  [pause] cross-checks the
     reported copy counters.  Returns mismatch messages (empty = the real
-    collector agrees with the oracle exactly). *)
+    collector agrees with the oracle exactly).  [snap] is not modified. *)
 let diff snap gc (pause : Nvmgc.Gc_stats.pause) =
   let heap = Nvmgc.Young_gc.heap gc in
   let ctx = { msgs = []; count = 0 } in
-  let survivors, graph = collect snap in
-  (* Collect the real survivors: post-pause bindings whose object id was
-     young when the pause began. *)
-  let real = Hashtbl.create 256 in
+  (* The real survivors are the post-pause bindings whose id was young
+     when the pause began; the surviving set must match the oracle's in
+     both directions. *)
+  let seen = Bytes.make (Array.length snap.young) '\000' in
   H.iter_bindings
     (fun _addr (obj : O.t) ->
-      if Hashtbl.mem snap.ids obj.O.id then begin
-        if Hashtbl.mem real obj.O.id then
-          mismatch ctx "object %d survives at two addresses" obj.O.id;
-        Hashtbl.replace real obj.O.id obj
+      let id = obj.O.id in
+      let e = entry snap id in
+      if e = not_young then ()
+      else if Bytes.get seen (id - snap.lo) <> '\000' then
+        mismatch ctx "object %d survives at two addresses" id
+      else begin
+        Bytes.set seen (id - snap.lo) '\001';
+        if e = dead then
+          mismatch ctx "object %d is dead per the oracle but was evacuated" id
+        else check_survivor ctx snap heap obj e
       end)
     heap;
-  (* Surviving set must match exactly, both directions. *)
-  Hashtbl.iter
-    (fun id (_ : snap_obj) ->
-      if not (Hashtbl.mem real id) then
+  Array.iteri
+    (fun k e ->
+      if e >= 0 && Bytes.get seen k = '\000' then
         mismatch ctx "object %d is live per the oracle but was not evacuated"
-          id)
-    survivors;
-  Hashtbl.iter
-    (fun id (_ : O.t) ->
-      if not (Hashtbl.mem survivors id) then
-        mismatch ctx "object %d is dead per the oracle but was evacuated" id)
-    real;
-  (* Classify a post-pause referent the same way the oracle classifies a
-     pre-pause one: live young objects by id, everything else by (stable)
-     address. *)
-  let classify_post addr =
-    if addr = Simheap.Layout.null then FNull
-    else
-      match H.lookup heap addr with
-      | Some obj when Hashtbl.mem snap.ids obj.O.id -> FYoung obj.O.id
-      | Some _ | None -> FOut addr
-  in
-  (* Sizes and per-field reference graph of every common survivor. *)
-  Hashtbl.iter
-    (fun id (obj : O.t) ->
-      match Hashtbl.find_opt survivors id with
-      | None -> ()
-      | Some so ->
-          if obj.O.size <> so.size then
-            mismatch ctx "object %d: size %d after evacuation, %d before" id
-              obj.O.size so.size;
-          let expected = Hashtbl.find graph id in
-          if Array.length obj.O.fields <> Array.length expected then
-            mismatch ctx "object %d: field count changed (%d -> %d)" id
-              (Array.length expected)
-              (Array.length obj.O.fields)
-          else
-            Array.iteri
-              (fun i f ->
-                let got = classify_post f in
-                if got <> expected.(i) then
-                  mismatch ctx "object %d field %d: oracle %s, collector %s"
-                    id i
-                    (class_name expected.(i))
-                    (class_name got))
-              obj.O.fields)
-    real;
+          (k + snap.lo))
+    snap.young;
   (* Anchors (remset slots and roots) must have been retargeted to the
-     copy of exactly the object they referenced before the pause. *)
-  List.iter
-    (fun a ->
-      let expected =
-        if a.pre = Simheap.Layout.null then FNull
-        else
-          match Hashtbl.find_opt snap.young a.pre with
-          | Some so -> FYoung so.id
-          | None -> FOut a.pre
-      in
-      let post = O.slot_referent a.slot in
-      let got = classify_post post in
-      if got <> expected then
-        mismatch ctx "anchor slot: oracle %s, collector %s (post 0x%x)"
-          (class_name expected) (class_name got) post
+     copy of exactly the object they referenced before the pause, and a
+     referent outside the collection set must not have moved. *)
+  Array.iteri
+    (fun i slot ->
+      let want = snap.anchor_classes.(i) in
+      let post = O.slot_referent slot in
+      let got = post_class snap heap post in
+      if got = want then ()
+      else if want > 0 && got > 0 then
+        mismatch ctx "anchor slot: non-young referent moved (0x%x -> 0x%x)"
+          want got
       else
-        match expected with
-        | FOut pre when post <> pre ->
-            mismatch ctx
-              "anchor slot: non-young referent moved (0x%x -> 0x%x)" pre post
-        | FNull | FYoung _ | FOut _ -> ())
-    snap.anchors;
+        mismatch ctx "anchor slot: oracle %s, collector %s (post 0x%x)"
+          (class_name want) (class_name got) post)
+    snap.slots;
   (* The pause's copy counters must account for exactly the oracle's
      survivors. *)
-  let oracle_objects = Hashtbl.length survivors in
-  let oracle_bytes =
-    Hashtbl.fold (fun _ (so : snap_obj) acc -> acc + so.size) survivors 0
-  in
+  let oracle_objects = Array.length snap.sizes in
+  let oracle_bytes = Array.fold_left ( + ) 0 snap.sizes in
   if pause.Nvmgc.Gc_stats.objects_copied <> oracle_objects then
     mismatch ctx "pause reports %d objects copied, oracle expects %d"
       pause.Nvmgc.Gc_stats.objects_copied oracle_objects;

@@ -148,10 +148,13 @@ let test_heap_objects_and_roots () =
   check_bool "bound" true
     (match H.lookup h o.O.addr with Some x -> x == o | None -> false);
   check_bool "lookup_exn" true (H.lookup_exn h o.O.addr == o);
+  check_bool "lookup_or_dummy" true (H.lookup_or_dummy h o.O.addr == o);
   check_int "registered in region" 1 (Simstats.Vec.length r.R.objs);
   check_int "live objects" 1 (H.live_objects h);
   H.unbind h o.O.addr;
   Alcotest.(check bool) "unbound" true (H.lookup h o.O.addr = None);
+  check_bool "unbound is the dummy" true
+    (H.lookup_or_dummy h o.O.addr == R.dummy_obj);
   let root = H.new_root h o.O.addr in
   check_int "root target" o.O.addr root.O.target;
   check_int "roots registered" 1 (Simstats.Vec.length (H.roots h));
