@@ -3,6 +3,8 @@
 # full test suite with post-pause verification forced on, and a telemetry
 # smoke: produce a Chrome trace + metrics CSV and validate them.
 set -eu
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 dune build @default
 dune build @verify
@@ -18,12 +20,36 @@ dune build @fuzz
 # no forwarding-state leakage, surviving graph closed).
 dune build @crash
 
+# The crash oracle's mutation table: each flush-protocol violation the
+# schedule seam can inject (--tamper) must make the 50-case seed-7 crash
+# campaign fail: at least 45 cases for early-ready (in the other five
+# the premature flush is harmless: the pending updates land before any
+# drawn crash point) and all 50 for drop-flush.  An oracle that misses
+# an injected bug proves nothing when it passes.
+for gate in early-ready:45 drop-flush:50; do
+  kind=${gate%%:*}
+  need=${gate#*:}
+  if dune exec bin/nvmgc_cli.exe -- fuzz --crash --cases 50 --seed 7 \
+    --tamper "$kind" > "$tmp/tamper.out" 2>&1; then
+    echo "ci: --tamper $kind crash campaign passed: the oracle missed" \
+      "the injected bug" >&2
+    exit 1
+  fi
+  n=$(sed -n 's/^nvmgc: \([0-9]*\) fuzz case(s) failed$/\1/p' \
+    "$tmp/tamper.out")
+  if [ -z "$n" ] || [ "$n" -lt "$need" ]; then
+    echo "ci: --tamper $kind caught ${n:-no} of 50 cases," \
+      "expected at least $need" >&2
+    tail -n 5 "$tmp/tamper.out" >&2
+    exit 1
+  fi
+  echo "crash oracle mutation table: --tamper $kind caught $n/50 cases"
+done
+
 # Telemetry smoke (also covered by the deterministic `dune build @trace`
 # alias): a traced run must yield a parseable Chrome trace with at least
 # one pause span, plus a non-empty metrics CSV.
 dune build @trace
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 dune exec bin/nvmgc_cli.exe -- run page-rank --threads 8 --gc-scale 0.1 \
   --trace "$tmp/trace.json" --metrics "$tmp/metrics.csv" --log-gc info \
   > /dev/null

@@ -54,16 +54,6 @@ type crash_state = {
 
 exception Crashed of crash_state
 
-(** Deliberate flush-protocol violations for mutation-testing the
-    recovery oracle (consumed once per pause). *)
-type tamper =
-  | Tamper_early_ready
-      (** answer one Keep decision of the §4.2 readiness protocol with
-          Ready: retire and flush a pair while pending reference updates
-          can still target it *)
-  | Tamper_drop_flush
-      (** report a flush complete without writing the bytes to NVM *)
-
 (** Where a GC thread's time goes — the simulator's version of the paper's
     §3.1 step-by-step memory-behaviour analysis. *)
 type category =
@@ -195,8 +185,6 @@ type t = {
       (** region idx of every shadow reported durable so far *)
   mutable post_flush_writes : (int * int) list;
       (** (region idx, addr) of slot updates into flushed shadows *)
-  tamper : tamper option;
-  mutable tamper_armed : bool;
 }
 
 (* Placeholder for the destination-scratch region field before the first
@@ -236,7 +224,7 @@ let make_thread ~start_ns tid =
    (Young_gc); GC thread [tid] owns lane [tid + 1]. *)
 let lane th = th.tid + 1
 
-let create ?tamper ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
+let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
     ~write_cache ~start_ns () =
   let t =
     {
@@ -266,8 +254,6 @@ let create ?tamper ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
       crash_points = 0;
       flushed_shadows = Hashtbl.create 8;
       post_flush_writes = [];
-      tamper;
-      tamper_armed = tamper <> None;
     }
   in
   if Nvmtrace.Hooks.tracing () then begin
@@ -321,15 +307,19 @@ let crash_point t =
                crash_post_flush_writes = t.post_flush_writes;
              })
 
-(* One-shot tamper trigger: fires on the first opportunity matching the
-   armed mode, then disarms. *)
-let consume_tamper t which =
-  t.tamper_armed
-  && (match t.tamper with Some w -> w = which | None -> false)
-  && begin
-       t.tamper_armed <- false;
-       true
-     end
+(* Injected flush-protocol violations (mutation-testing the recovery
+   oracle).  Consulted last in their guards, only where the violation
+   is possible, so a schedule that answers [true] once fires at the
+   first real opportunity. *)
+let flush_early t th =
+  match t.schedule with
+  | Some s -> s.Schedule.flush_early ~tid:th.tid
+  | None -> false
+
+let drop_flush t th =
+  match t.schedule with
+  | Some s -> s.Schedule.drop_flush ~tid:th.tid
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Cost charging                                                       *)
@@ -358,11 +348,11 @@ let[@inline] charge t th ~cat ~addr ~space ~kind ~pattern ~bytes =
   th.clock.(0) <- th.clock.(0) +. d
 
 (* Atomic/uncoalesced charges (the forwarding CAS) bypass the cache and
-   cannot ride the run path. *)
+   always reach the device. *)
 let charge_forced t th ~cat ~addr ~space ~kind ~pattern ~bytes =
   Memsim.Memory.set_cause t.memory (cause_of_category cat);
-  Memsim.Memory.access_into ~force_device:true t.memory ~now_ns:th.clock.(0)
-    ~addr ~space ~kind ~pattern ~bytes;
+  Memsim.Memory.access_run_into ~force_device:true t.memory
+    ~now_ns:th.clock.(0) ~addr ~space ~kind ~pattern ~bytes;
   let d = Memsim.Memory.last_duration t.memory in
   th.breakdown.(category_index cat) <- th.breakdown.(category_index cat) +. d;
   th.clock.(0) <- th.clock.(0) +. d
@@ -433,7 +423,7 @@ let flush_pair t th (pair : Write_cache.pair) =
        durable), and after the write but before the flush is reported
        complete (bytes down, pair still officially unflushed). *)
     crash_point t;
-    if consume_tamper t Tamper_drop_flush then
+    if drop_flush t th then
       (* Injected fault: skip the device traffic entirely — the pair
          will still be reported flushed below. *)
       crash_point t
@@ -518,7 +508,7 @@ let rec alloc_cached t th size =
         else if
           async_mode t
           && (not pair.Write_cache.flushed)
-          && consume_tamper t Tamper_early_ready
+          && flush_early t th
         then begin
           (* Injected fault: the Figure-4 protocol says this pair is
              NOT ready (its memorized last reference is unprocessed, or
@@ -860,7 +850,7 @@ let process_item t th ~slot ~home =
             async_mode t
             && (not pair.Write_cache.flushed)
             && (match th.pair with Some p -> p == pair | None -> false)
-            && consume_tamper t Tamper_early_ready
+            && flush_early t th
           then begin
             (* Injected fault: answer this Keep decision with Ready —
                retire and flush the pair while the Figure-4 protocol

@@ -31,16 +31,6 @@ exception Crashed of crash_state
     points are consulted only under a schedule, so min-clock runs never
     raise this. *)
 
-(** Deliberate flush-protocol violations for mutation-testing the
-    recovery oracle; injected at most once per pause. *)
-type tamper =
-  | Tamper_early_ready
-      (** answer one Keep decision of the §4.2 readiness protocol with
-          Ready: retire and flush a pair while pending reference updates
-          can still target it *)
-  | Tamper_drop_flush
-      (** report a flush complete without writing the bytes to NVM *)
-
 (** Where a GC thread's time goes — the §3.1 step analysis. *)
 type category =
   | Cat_locate
@@ -96,7 +86,6 @@ type thread = {
 type t
 
 val create :
-  ?tamper:tamper ->
   schedule:Schedule.t option ->
   heap:Simheap.Heap.t ->
   memory:Memsim.Memory.t ->
@@ -108,10 +97,10 @@ val create :
   t
 (** [schedule] replaces every discretionary engine decision (next
     thread, steal victim, region grabs, header-map fallback timing,
-    asynchronous-flush readiness) — the simulation-testing seam.
-    Without it the engine keeps its deterministic min-clock policy.
-    [tamper] arms a one-shot flush-protocol violation (for
-    mutation-testing the crash-recovery oracle). *)
+    asynchronous-flush readiness) — the simulation-testing seam — and
+    injects the crash-consistency faults (power failures and
+    flush-protocol violations).  Without it the engine keeps its
+    deterministic min-clock policy. *)
 
 val threads : t -> thread array
 val old_addrs : t -> int Simstats.Vec.t

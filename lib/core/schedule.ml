@@ -2,7 +2,10 @@
     makes — which thread runs next, whom to steal from, when to grab a
     cache region, when the header map "fills", when a ready region is
     flushed — funnels through this record, so the simulated GC-thread
-    interleaving itself becomes an input.
+    interleaving itself becomes an input.  So do the three destructive
+    decisions the crash-consistency fuzzer injects: a power failure
+    ([crash]) and two flush-protocol violations ([flush_early],
+    [drop_flush]) that mutation-test its recovery oracle.
 
     The default engine (no schedule installed) keeps the deterministic
     min-clock policy; a schedule replaces each decision with its own,
@@ -22,8 +25,8 @@
       write-only sub-phase (the §4.2 tracker is already conservative;
       deferring is always correct).
 
-    Whatever a schedule decides, the surviving object graph must match
-    the oracle collector — that is precisely what [lib/simcheck] fuzzes.
+    Whatever those decisions, the surviving object graph must match the
+    oracle collector — that is precisely what [lib/simcheck] fuzzes.
     Timing and statistics may (and do) differ between schedules. *)
 
 type t = {
@@ -42,8 +45,8 @@ type t = {
       (** [true]: leave this flush-ready region to the write-only
           sub-phase *)
   crash : step:int -> bool;
-      (** [true]: kill the simulation at this crash point.  Unlike every
-          other decision this one is deliberately destructive: the
+      (** [true]: kill the simulation at this crash point.  Unlike the
+          decisions above this one is deliberately destructive: the
           engine raises {!Evacuation.Crashed} mid-pause, modeling a
           power failure.  Crash points are numbered 1, 2, ... in
           consultation order (scheduling-loop iterations and the
@@ -51,11 +54,18 @@ type t = {
           number and never consults any PRNG here, so wrapping a
           schedule with a crash predicate does not perturb the
           decision stream of the underlying schedule. *)
+  flush_early : tid:int -> bool;
+      (** [true]: answer this Keep decision of the Figure-4 readiness
+          protocol with Ready, flushing the pair while reference updates
+          into it are pending (a protocol violation) *)
+  drop_flush : tid:int -> bool;
+      (** [true]: report this flush complete without writing its bytes
+          to NVM (a protocol violation) *)
 }
 
 (** The identity schedule: lowest-id runnable thread, lowest-id victim,
-    never defers or forces anything.  Interleavings differ from the
-    min-clock default, but semantics must not. *)
+    never defers, forces, crashes or violates anything.  Interleavings
+    differ from the min-clock default, but semantics must not. *)
 let default =
   {
     pick_thread = (fun ~runnable:_ -> 0);
@@ -64,4 +74,6 @@ let default =
     force_hm_fallback = (fun ~tid:_ -> false);
     defer_async_flush = (fun ~tid:_ -> false);
     crash = (fun ~step:_ -> false);
+    flush_early = (fun ~tid:_ -> false);
+    drop_flush = (fun ~tid:_ -> false);
   }

@@ -7,7 +7,6 @@ type t
 
 val create :
   ?schedule:Schedule.t ->
-  ?tamper:Evacuation.tamper ->
   heap:Simheap.Heap.t ->
   memory:Memsim.Memory.t ->
   Gc_config.t ->
@@ -15,9 +14,7 @@ val create :
 (** The header map (when active for this configuration) is allocated once
     and reused across pauses, as in the paper.  [schedule] is handed to
     every pause's evacuation engine (the simulation-testing seam); without
-    it pauses run under the deterministic min-clock policy.  [tamper]
-    injects a one-shot flush-protocol violation into every pause (for
-    mutation-testing the crash-recovery oracle). *)
+    it pauses run under the deterministic min-clock policy. *)
 
 val totals : t -> Gc_stats.totals
 val header_map : t -> Header_map.t option

@@ -1,40 +1,14 @@
 (** Memory-access descriptors.
 
     Every cost the simulator charges is described by where the access goes
-    (device space), whether it reads or writes, its pattern, and its size.
-    The [Nt_write] kind models x86 non-temporal stores (MOVNTDQ): they
-    bypass the cache hierarchy and stream at a higher effective bandwidth on
-    sequential data (paper §4.1). *)
+    (device space), whether it reads or writes, its pattern, and its size
+    (passed alongside to {!Memory.access_run_into}).  The [Nt_write] kind
+    models x86 non-temporal stores (MOVNTDQ): they bypass the cache
+    hierarchy and stream at a higher effective bandwidth on sequential
+    data (paper §4.1). *)
 
 type space = Dram | Nvm
 
 type kind = Read | Write | Nt_write
 
 type pattern = Random | Sequential
-
-type t = {
-  space : space;
-  kind : kind;
-  pattern : pattern;
-  bytes : int;
-}
-
-let v ~space ~kind ~pattern bytes = { space; kind; pattern; bytes }
-
-let is_write a =
-  match a.kind with
-  | Write | Nt_write -> true
-  | Read -> false
-
-let space_name = function Dram -> "dram" | Nvm -> "nvm"
-
-let kind_name = function
-  | Read -> "read"
-  | Write -> "write"
-  | Nt_write -> "nt-write"
-
-let pattern_name = function Random -> "random" | Sequential -> "sequential"
-
-let pp fmt a =
-  Format.fprintf fmt "%s %s %s %dB" (space_name a.space) (kind_name a.kind)
-    (pattern_name a.pattern) a.bytes

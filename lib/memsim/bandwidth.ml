@@ -23,8 +23,8 @@
     which is why eliminating *most* writes (write cache) recovers little
     until the remaining header/reference writes also go (header map).
     The [**] makes this the single most expensive float operation on the
-    hot path, so {!Memory.access} computes it once per access and feeds
-    the [~bowl] variants below. *)
+    hot path, so {!Memory.access_run_into} computes it once per access
+    and feeds the [~bowl] variants below. *)
 let[@inline] mix_bowl ~write_frac =
   let w = Float.max 0.0 (Float.min 1.0 write_frac) in
   (4.0 *. w *. (1.0 -. w)) ** 0.30

@@ -69,8 +69,7 @@ type t = {
   (* Write-back buffer: dirty evictions produced by {!access_run} and
      {!prefetch_q} accumulate here, so a whole contiguous N-line run can
      be walked without draining between probes.  Each entry packs the
-     evicted line id (bits 2+) with its nvm (bit 0) and seq (bit 1)
-     flags. *)
+     evicted line's nvm (bit 0) and seq (bit 1) flags. *)
   mutable run_wb : int array;
   mutable run_wb_len : int;
   mutable hits : int;
@@ -227,10 +226,6 @@ let rec victim_loop (stamp : int array) (tb : int) (n : int) (i : int)
 
 type outcome = Hit | Miss | Prefetched_hit
 
-(** Eviction of a dirty line: its address and whether it belonged to the
-    NVM space — the caller charges the device write-back. *)
-type writeback = { wb_addr : int; wb_nvm : bool; wb_seq : bool }
-
 let run_wb_push t entry =
   let n = t.run_wb_len in
   if n >= Array.length t.run_wb then begin
@@ -254,8 +249,7 @@ let install t ~tb ~mb line ~fp ~write ~seq ~nvm =
   if dirty land bit <> 0 && old >= 0 then begin
     t.writebacks <- t.writebacks + 1;
     run_wb_push t
-      ((old lsl 2)
-      lor (if nvm_mask land bit <> 0 then 1 else 0)
+      ((if nvm_mask land bit <> 0 then 1 else 0)
       lor if seqw land bit <> 0 then 2 else 0)
   end;
   tags.(tb + way) <- line;
@@ -332,23 +326,6 @@ let run_wb_count t = t.run_wb_len
 let run_wb_nvm t i = t.run_wb.(i) land 1 <> 0
 let run_wb_seq t i = t.run_wb.(i) land 2 <> 0
 
-(* The buffered eviction (at most one after a single-line walk or a
-   prefetch) as a record, for the convenience entry points. *)
-let first_writeback t =
-  if t.run_wb_len = 0 then None
-  else
-    let e = t.run_wb.(0) in
-    Some
-      {
-        wb_addr = (e lsr 2) * line_bytes;
-        wb_nvm = e land 1 <> 0;
-        wb_seq = e land 2 <> 0;
-      }
-
-let access t addr ~write ~seq ~nvm =
-  let outcome = access_run t addr ~lines:1 ~write ~seq ~nvm in
-  (outcome, first_writeback t)
-
 (** Insert a line ahead of use; the next demand access reports
     [Prefetched_hit].  Idempotent on resident lines.  Returns whether the
     line was actually fetched (false = already resident, no device
@@ -372,10 +349,6 @@ let prefetch_q t addr ~nvm =
   in
   t.meta.(mb + m_prefetched) <- t.meta.(mb + m_prefetched) lor (1 lsl way);
   fetched
-
-let prefetch t addr ~nvm =
-  let fetched = prefetch_q t addr ~nvm in
-  (fetched, first_writeback t)
 
 (* Pure residency query: is the line containing [addr] resident and
    dirty?  Used by the crash model — dirty lines die with the cache, so

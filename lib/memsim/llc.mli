@@ -7,10 +7,6 @@ type t
 
 type outcome = Hit | Miss | Prefetched_hit
 
-type writeback = { wb_addr : int; wb_nvm : bool; wb_seq : bool }
-(** A dirty line evicted by a fill; the caller charges the device.
-    [wb_seq] marks lines dirtied by streaming writes (drain sequentially). *)
-
 val create : capacity_bytes:int -> ways:int -> t
 (** Set count is rounded down to a power of two.  Makes a constant
     number of allocations whatever the set count: the state of all sets
@@ -19,18 +15,6 @@ val create : capacity_bytes:int -> ways:int -> t
     blocks rather than several small blocks per set. *)
 
 val capacity_bytes : t -> int
-
-val access :
-  t -> int -> write:bool -> seq:bool -> nvm:bool -> outcome * writeback option
-(** Demand access to the line containing the address; fills on miss,
-    marking the line dirty on writes and tagging its backing space.
-    Exactly a one-line {!access_run}, with its eviction (if any) read
-    back as a record. *)
-
-val prefetch : t -> int -> nvm:bool -> bool * writeback option
-(** Software prefetch: inserts (or marks) the line so the next demand
-    access reports [Prefetched_hit].  Returns whether the line was
-    actually fetched (false = already resident, no device traffic). *)
 
 val access_run :
   t -> int -> lines:int -> write:bool -> seq:bool -> nvm:bool -> outcome
@@ -45,9 +29,12 @@ val access_run :
     after the buffer warms up. *)
 
 val prefetch_q : t -> int -> nvm:bool -> bool
-(** Allocation-free {!prefetch}: a dirty eviction forced by the insertion
-    (at most one) replaces the write-back buffer's contents, read as
-    after {!access_run}. *)
+(** Software prefetch: inserts (or marks) the line so the next demand
+    access reports [Prefetched_hit].  Returns whether the line was
+    actually fetched (false = already resident, no device traffic).  A
+    dirty eviction forced by the insertion (at most one) replaces the
+    write-back buffer's contents, read as after {!access_run}.
+    Allocation-free. *)
 
 val run_wb_count : t -> int
 val run_wb_nvm : t -> int -> bool

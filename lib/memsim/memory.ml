@@ -3,8 +3,8 @@
 
     This is the substrate standing in for the paper's evaluation machine.
     All simulated components (heap, GC, mutator) charge their memory
-    operations here; [access] returns the simulated duration of the
-    operation, which callers add to their simulated clock.
+    operations here through {!access_run_into}, whose simulated duration
+    (read with {!last_duration}) callers add to their simulated clock.
 
     Contention is modelled structurally, not by thread counting: each
     device is a pipe whose service credit accrues at wall rate, and every
@@ -86,9 +86,9 @@ type t = {
   trace_write : Simstats.Timeseries.t array;
   dur : float array;
       (** 1-slot out-parameter holding the duration of the last
-          {!access_into}/{!access_run_into} charge.  A flat float array,
-          not a [float ref]: the ref is a generic record, so every [:=]
-          boxes the float — millions of avoidable minor allocations per
+          {!access_run_into} charge.  A flat float array, not a
+          [float ref]: the ref is a generic record, so every [:=] boxes
+          the float — millions of avoidable minor allocations per
           sweep — while a float-array store is unboxed. *)
   mutable cause : Nvmtrace.Recorder.cause;
       (** attribution for the continuous recorder: the subsystem whose
@@ -333,14 +333,6 @@ let drain_run_wbs t ~now_ns recorder =
           ~nvm:true ~write:true ~cause:Nvmtrace.Recorder.Flush_pipe
           ~bytes:(float_of_int (!nvm_lines * Llc.line_bytes))
 
-(** [access t ~now_ns ~addr a] charges access [a] at address [addr] and
-    returns its simulated duration in nanoseconds.
-
-    Duration = queue wait + (LLC/device) latency + transfer at the issuing
-    thread's rate.  The access also occupies the space's device pipe for
-    [bytes / service-rate]; when concurrent simulated threads out-demand
-    the device, the pipe backlog grows and every subsequent access queues —
-    the hard bandwidth ceiling that makes NVM GC non-scalable (§2.3). *)
 let llc_gbps = 64.0
 
 (* Duration once [latency] is known.  A latency within the LLC hit cost
@@ -373,17 +365,24 @@ let[@inline] duration_of t dev ~now_ns ~space ~kind ~pattern ~bytes ~latency ~w
     queue_wait +. latency +. transfer
   end
 
-(* The single implementation behind {!access_into} and
-   {!access_run_into}: charge a (possibly multi-line) transfer in one
-   call.  Restructured from the retired per-line loop into the run
-   shape — probe the whole run first with evictions buffered, then the
-   mix/bandwidth charges — which is float-for-float identical (the
-   probes touch no float state; see {!drain_run_wbs}) but exposes an LLC
-   hit fast path: when the first line hits and nothing was evicted, the
-   only float effect of the retired path was the mix decay to [now_ns],
-   which [record_mix] performs identically, so the write-fraction read
-   and the whole bandwidth model are skipped. *)
-let access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes ~force_device =
+(* Charge a (possibly multi-line) transfer at [addr] in one call and
+   leave its simulated duration in [t.dur].
+
+   Duration = queue wait + (LLC/device) latency + transfer at the issuing
+   thread's rate.  The access also occupies the space's device pipe for
+   [bytes / service-rate]; when concurrent simulated threads out-demand
+   the device, the pipe backlog grows and every subsequent access queues —
+   the hard bandwidth ceiling that makes NVM GC non-scalable (§2.3).
+
+   The run is probed through the LLC first with evictions buffered, then
+   charged to the mix/bandwidth model — float-for-float identical to a
+   per-line loop (the probes touch no float state; see {!drain_run_wbs})
+   but with an LLC hit fast path: when the first line hits and nothing
+   was evicted, the only float effect is the mix decay to [now_ns], which
+   [record_mix] performs identically, so the write-fraction read and the
+   whole bandwidth model are skipped. *)
+let access_run_into ?(force_device = false) t ~now_ns ~addr ~space ~kind
+    ~pattern ~bytes =
   let prof_prev = Simstats.Hostprof.enter prof_access in
   let dev = device t space in
   let is_write = kind <> Access.Read in
@@ -465,23 +464,7 @@ let access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes ~force_device =
   t.dur.(0) <- duration;
   Simstats.Hostprof.leave prof_prev
 
-let access_into ?(force_device = false) t ~now_ns ~addr ~space ~kind
-    ~pattern ~bytes =
-  access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes ~force_device
-
-let access_run_into t ~now_ns ~addr ~space ~kind ~pattern ~bytes =
-  access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes
-    ~force_device:false
-
 let last_duration t = t.dur.(0)
-
-let access_scalar ?force_device t ~now_ns ~addr ~space ~kind ~pattern ~bytes =
-  access_into ?force_device t ~now_ns ~addr ~space ~kind ~pattern ~bytes;
-  t.dur.(0)
-
-let access ?force_device t ~now_ns ~addr (a : Access.t) =
-  access_scalar ?force_device t ~now_ns ~addr ~space:a.Access.space
-    ~kind:a.Access.kind ~pattern:a.Access.pattern ~bytes:a.Access.bytes
 
 (** Issue a software prefetch for the line at [addr]: marks the LLC and
     consumes read bandwidth.  Returns the (small) issue cost. *)

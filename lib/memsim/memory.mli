@@ -58,41 +58,8 @@ val consumed_gbps : t -> Access.space -> now_ns:float -> float
 val utilization : t -> Access.space -> now_ns:float -> float
 (** Consumed bandwidth over current interfered capacity (can exceed 1). *)
 
-val access : ?force_device:bool -> t -> now_ns:float -> addr:int -> Access.t -> float
-(** Charge an access; returns its simulated duration in nanoseconds.
-    [force_device] models atomic/uncoalesced operations that always reach
-    the device regardless of cache residency (forwarding-pointer CAS). *)
-
-val access_scalar :
-  ?force_device:bool ->
-  t ->
-  now_ns:float ->
-  addr:int ->
-  space:Access.space ->
-  kind:Access.kind ->
-  pattern:Access.pattern ->
-  bytes:int ->
-  float
-(** Exactly {!access} with the descriptor passed as scalars — the
-    allocation-free entry point for the evacuation inner loop ({!access}
-    is a thin wrapper over this). *)
-
-val access_into :
-  ?force_device:bool ->
-  t ->
-  now_ns:float ->
-  addr:int ->
-  space:Access.space ->
-  kind:Access.kind ->
-  pattern:Access.pattern ->
-  bytes:int ->
-  unit
-(** Exactly {!access_scalar}, but the duration is left in an internal
-    cell (read with {!last_duration}) instead of returned — a returned
-    float boxes on every call, and the evacuation engine charges millions
-    of accesses per pause. *)
-
 val access_run_into :
+  ?force_device:bool ->
   t ->
   now_ns:float ->
   addr:int ->
@@ -101,22 +68,26 @@ val access_run_into :
   pattern:Access.pattern ->
   bytes:int ->
   unit
-(** Bulk-transfer entry point: charge a contiguous [bytes]-long run
-    (spanning any number of 64-byte lines) in one call, leaving the
-    duration in the {!last_duration} cell.  Simulated results are
-    float-for-float identical to {!access_into} without [force_device] —
-    the digest gate in CI holds this to byte-identity — but the run is
-    walked through the LLC with an incrementally stepped line hash and
-    buffered dirty evictions, the per-line write-back charges drain in a
-    single pass with recorder attribution batched per space, and a run
-    whose first line hits with no evictions skips the write-fraction
-    read and the whole bandwidth model.  This is the path for the hot
-    bulk callers: evacuation object copies, write-cache write-backs,
-    header-map probe bursts and header-map cleanup. *)
+(** The one way to charge a memory access: a contiguous [bytes]-long run
+    (spanning any number of 64-byte lines; a single-line access is a run
+    of one) starting at [addr].  The simulated duration is left in an
+    internal cell, read with {!last_duration}, rather than returned — a
+    returned float boxes on every call, and the evacuation engine charges
+    millions of accesses per pause.  [force_device] models
+    atomic/uncoalesced operations (the forwarding-pointer CAS) that
+    always reach the device regardless of cache residency.
+
+    The run is walked through the LLC with an incrementally stepped line
+    hash and buffered dirty evictions, the per-line write-back charges
+    drain in a single pass with recorder attribution batched per space,
+    and a run whose first line hits with no evictions skips the
+    write-fraction read and the whole bandwidth model.  All of this is
+    float-for-float identical to charging the lines one at a time; the
+    digest gate in CI holds it to byte-identity. *)
 
 val last_duration : t -> float
-(** Duration of the most recent {!access_into}/{!access_run_into}
-    charge, in nanoseconds. *)
+(** Duration of the most recent {!access_run_into} charge, in
+    nanoseconds. *)
 
 val prefetch : t -> now_ns:float -> addr:int -> Access.space -> float
 (** Software prefetch of one line; returns the issue cost in nanoseconds. *)

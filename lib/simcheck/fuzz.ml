@@ -100,10 +100,7 @@ let crash_variant_names = [ "g1-wc-async"; "g1-all"; "ps-all" ]
 (* CLI spelling of the one-shot protocol mutations the crash campaign
    can arm to mutation-test its own oracle. *)
 let tampers =
-  [
-    ("early-ready", Nvmgc.Evacuation.Tamper_early_ready);
-    ("drop-flush", Nvmgc.Evacuation.Tamper_drop_flush);
-  ]
+  [ ("early-ready", Sched.Early_ready); ("drop-flush", Sched.Drop_flush) ]
 
 let select_variants = function
   | [] -> all_variants
@@ -282,11 +279,15 @@ let shrink_failure ?tamper ~variants ~budget (case : case) (variant, messages)
 
 (* The schedule every crash run executes under: sched_seed 0 wraps the
    identity schedule (the crash seam only exists on the scheduled
-   engine), any other seed wraps its {!Sched.of_seed} stream.  Crash
-   wrappers consume no PRNG, so the probe and every crashing run of a
-   case see identical decision streams. *)
-let crash_base_schedule sched_seed =
-  if sched_seed = 0 then Nvmgc.Schedule.default else Sched.of_seed sched_seed
+   engine), any other seed wraps its {!Sched.of_seed} stream, and
+   [tamper] arms a fresh one-shot protocol mutation for this run.  Crash
+   and tamper wrappers consume no PRNG, so the probe and every crashing
+   run of a case see identical decision streams. *)
+let crash_base_schedule ?tamper sched_seed =
+  let base =
+    if sched_seed = 0 then Nvmgc.Schedule.default else Sched.of_seed sched_seed
+  in
+  match tamper with None -> base | Some k -> Sched.with_tamper k base
 
 (* Probe run: count the case's crash points under a never-firing crash
    wrapper.  Completes a full verified pause, so it doubles as the
@@ -295,10 +296,11 @@ let probe_crash_points ?tamper ~spec ~threads ~sched_seed (v : variant) =
   let inst = Spec.instantiate spec in
   let memory = Memsim.Memory.create Memsim.Memory.default_config in
   let config = v.make ~threads in
-  let schedule, count = Sched.counting (crash_base_schedule sched_seed) in
+  let schedule, count =
+    Sched.counting (crash_base_schedule ?tamper sched_seed)
+  in
   let gc =
-    Nvmgc.Young_gc.create ~schedule ?tamper ~heap:inst.Spec.heap ~memory
-      config
+    Nvmgc.Young_gc.create ~schedule ~heap:inst.Spec.heap ~memory config
   in
   match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
   | pause -> Ok (pause, count ())
@@ -317,11 +319,12 @@ let run_crash_variant ?tamper ~spec ~threads ~sched_seed ~crash_step
   let memory = Memsim.Memory.create Memsim.Memory.default_config in
   Memsim.Memory.set_durability_tracking memory true;
   let config = v.make ~threads in
-  let schedule = Sched.with_crash ~crash_step (crash_base_schedule sched_seed) in
+  let schedule =
+    Sched.with_crash ~crash_step (crash_base_schedule ?tamper sched_seed)
+  in
   let pre = G.capture inst.Spec.heap in
   let gc =
-    Nvmgc.Young_gc.create ~schedule ?tamper ~heap:inst.Spec.heap ~memory
-      config
+    Nvmgc.Young_gc.create ~schedule ~heap:inst.Spec.heap ~memory config
   in
   match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
   | (_ : Nvmgc.Gc_stats.pause) -> Ok ()

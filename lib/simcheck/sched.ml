@@ -20,9 +20,10 @@ let of_seed seed =
   let p_force_fallback = Simstats.Prng.float rng 0.4 in
   let p_defer_flush = Simstats.Prng.float rng 0.6 in
   let pick n = if n <= 0 then 0 else Simstats.Prng.int rng n in
+  (* The destructive decisions keep the identity schedule's [false]. *)
   {
-    Nvmgc.Schedule.pick_thread =
-      (fun ~runnable -> pick (Array.length runnable));
+    Nvmgc.Schedule.default with
+    pick_thread = (fun ~runnable -> pick (Array.length runnable));
     pick_victim = (fun ~thief:_ ~victims -> pick (Array.length victims));
     defer_region_grab =
       (fun ~tid:_ -> Simstats.Prng.float rng 1.0 < p_defer_grab);
@@ -30,13 +31,12 @@ let of_seed seed =
       (fun ~tid:_ -> Simstats.Prng.float rng 1.0 < p_force_fallback);
     defer_async_flush =
       (fun ~tid:_ -> Simstats.Prng.float rng 1.0 < p_defer_flush);
-    crash = (fun ~step:_ -> false);
   }
 
-(* Crash wrappers replace only the [crash] decision; the base schedule's
-   PRNG is untouched (the engine consults [crash] with a counter, no
-   randomness), so a wrapped schedule makes exactly the same
-   pick/steal/defer choices as the bare one. *)
+(* Crash and tamper wrappers replace only destructive decisions and draw
+   no randomness (the engine consults [crash] with a counter), so the
+   base schedule's PRNG is untouched and a wrapped schedule makes
+   exactly the same pick/steal/defer choices as the bare one. *)
 
 let with_crash ~crash_step base =
   { base with Nvmgc.Schedule.crash = (fun ~step -> step >= crash_step) }
@@ -51,3 +51,18 @@ let counting base =
           false);
     },
     fun () -> !seen )
+
+type tamper = Early_ready | Drop_flush
+
+(* Answers [true] at the first consultation, then [false] for good. *)
+let once () =
+  let armed = ref true in
+  fun ~tid:_ ->
+    let fire = !armed in
+    armed := false;
+    fire
+
+let with_tamper tamper base =
+  match tamper with
+  | Early_ready -> { base with Nvmgc.Schedule.flush_early = once () }
+  | Drop_flush -> { base with Nvmgc.Schedule.drop_flush = once () }

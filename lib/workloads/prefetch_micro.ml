@@ -22,6 +22,12 @@ let update_bytes = 8
 let compute_ns = 6.0
 let prefetch_distance = 8
 
+(* One random access; returns its simulated duration. *)
+let access memory ~now_ns ~addr ~space ~kind ~bytes =
+  Memsim.Memory.access_run_into memory ~now_ns ~addr ~space ~kind
+    ~pattern:Memsim.Access.Random ~bytes;
+  Memsim.Memory.last_duration memory
+
 let run_one ~space ~prefetch ~accesses ~seed =
   let memory =
     Memsim.Memory.create
@@ -42,14 +48,12 @@ let run_one ~space ~prefetch ~accesses ~seed =
     let addr = base + (indices.(i) * element_bytes) in
     clock :=
       !clock
-      +. Memsim.Memory.access memory ~now_ns:!clock ~addr
-           (Memsim.Access.v ~space ~kind:Memsim.Access.Read
-              ~pattern:Memsim.Access.Random element_bytes);
+      +. access memory ~now_ns:!clock ~addr ~space ~kind:Memsim.Access.Read
+           ~bytes:element_bytes;
     clock :=
       !clock
-      +. Memsim.Memory.access memory ~now_ns:!clock ~addr
-           (Memsim.Access.v ~space ~kind:Memsim.Access.Write
-              ~pattern:Memsim.Access.Random update_bytes);
+      +. access memory ~now_ns:!clock ~addr ~space ~kind:Memsim.Access.Write
+           ~bytes:update_bytes;
     clock := !clock +. compute_ns
   done;
   !clock /. 1e6

@@ -87,37 +87,37 @@ let test_transfer_ns () =
 (* ------------------------------------------------------------------ *)
 (* LLC                                                                 *)
 
+(* A one-line demand access; evictions land in the write-back buffer. *)
+let llc_access ?(write = false) ?(seq = false) ?(nvm = true) llc addr =
+  Memsim.Llc.access_run llc addr ~lines:1 ~write ~seq ~nvm
+
 let test_llc_hit_after_miss () =
   let llc = Memsim.Llc.create ~capacity_bytes:(64 * 1024) ~ways:8 in
-  let o1, _ = Memsim.Llc.access llc 4096 ~write:false ~seq:false ~nvm:true in
+  let o1 = llc_access llc 4096 in
   Alcotest.(check bool) "first access misses" true (o1 = Memsim.Llc.Miss);
-  let o2, _ = Memsim.Llc.access llc 4100 ~write:false ~seq:false ~nvm:true in
+  let o2 = llc_access llc 4100 in
   Alcotest.(check bool) "same line hits" true (o2 = Memsim.Llc.Hit)
 
 let test_llc_prefetch () =
   let llc = Memsim.Llc.create ~capacity_bytes:(64 * 1024) ~ways:8 in
-  let fetched, _ = Memsim.Llc.prefetch llc 8192 ~nvm:true in
-  check_bool "prefetch fetched" true fetched;
-  let o, _ = Memsim.Llc.access llc 8192 ~write:false ~seq:false ~nvm:true in
-  check_bool "prefetched hit" true (o = Memsim.Llc.Prefetched_hit);
-  let o, _ = Memsim.Llc.access llc 8192 ~write:false ~seq:false ~nvm:true in
-  check_bool "second access is a plain hit" true (o = Memsim.Llc.Hit);
-  let fetched, _ = Memsim.Llc.prefetch llc 8192 ~nvm:true in
-  check_bool "prefetch of resident line fetches nothing" false fetched
+  check_bool "prefetch fetched" true (Memsim.Llc.prefetch_q llc 8192 ~nvm:true);
+  check_bool "prefetched hit" true
+    (llc_access llc 8192 = Memsim.Llc.Prefetched_hit);
+  check_bool "second access is a plain hit" true
+    (llc_access llc 8192 = Memsim.Llc.Hit);
+  check_bool "prefetch of resident line fetches nothing" false
+    (Memsim.Llc.prefetch_q llc 8192 ~nvm:true)
 
 let test_llc_dirty_writeback () =
   (* tiny cache: 2 ways x 2 sets *)
   let llc = Memsim.Llc.create ~capacity_bytes:(4 * 64) ~ways:2 in
   let wbs = ref 0 and nvm_wbs = ref 0 in
   for i = 0 to 63 do
-    let _, wb =
-      Memsim.Llc.access llc (i * 64) ~write:true ~seq:false ~nvm:(i mod 2 = 0)
-    in
-    match wb with
-    | Some w ->
-        incr wbs;
-        if w.Memsim.Llc.wb_nvm then incr nvm_wbs
-    | None -> ()
+    ignore (llc_access ~write:true ~nvm:(i mod 2 = 0) llc (i * 64));
+    for w = 0 to Memsim.Llc.run_wb_count llc - 1 do
+      incr wbs;
+      if Memsim.Llc.run_wb_nvm llc w then incr nvm_wbs
+    done
   done;
   check_bool "write-backs happened" true (!wbs > 0);
   check_bool "some NVM write-backs" true (!nvm_wbs > 0);
@@ -126,18 +126,19 @@ let test_llc_dirty_writeback () =
 let test_llc_clean_eviction_no_writeback () =
   let llc = Memsim.Llc.create ~capacity_bytes:(4 * 64) ~ways:2 in
   for i = 0 to 63 do
-    let _, wb = Memsim.Llc.access llc (i * 64) ~write:false ~seq:false ~nvm:true in
-    Alcotest.(check bool) "clean lines never write back" true (wb = None)
+    ignore (llc_access llc (i * 64));
+    Alcotest.(check int) "clean lines never write back" 0
+      (Memsim.Llc.run_wb_count llc)
   done
 
 let test_llc_seq_flag_propagates () =
   let llc = Memsim.Llc.create ~capacity_bytes:(4 * 64) ~ways:2 in
   let seen_seq = ref false in
   for i = 0 to 63 do
-    let _, wb = Memsim.Llc.access llc (i * 64) ~write:true ~seq:true ~nvm:true in
-    match wb with
-    | Some w -> if w.Memsim.Llc.wb_seq then seen_seq := true
-    | None -> ()
+    ignore (llc_access ~write:true ~seq:true llc (i * 64));
+    for w = 0 to Memsim.Llc.run_wb_count llc - 1 do
+      if Memsim.Llc.run_wb_seq llc w then seen_seq := true
+    done
   done;
   check_bool "sequentially-dirtied lines drain as sequential" true !seen_seq
 
@@ -149,17 +150,17 @@ let test_llc_capacity_rounding () =
 
 let test_llc_clear () =
   let llc = Memsim.Llc.create ~capacity_bytes:(64 * 1024) ~ways:8 in
-  ignore (Memsim.Llc.access llc 0 ~write:true ~seq:false ~nvm:true);
+  ignore (llc_access ~write:true llc 0);
   Memsim.Llc.clear llc;
-  let o, wb = Memsim.Llc.access llc 0 ~write:false ~seq:false ~nvm:true in
+  let o = llc_access llc 0 in
   check_bool "cleared: miss again, no stale dirty write-back" true
-    (o = Memsim.Llc.Miss && wb = None)
+    (o = Memsim.Llc.Miss && Memsim.Llc.run_wb_count llc = 0)
 
 let test_llc_capacity_behaviour () =
   let llc = Memsim.Llc.create ~capacity_bytes:(16 * 1024) ~ways:8 in
   for _round = 1 to 3 do
     for i = 0 to 63 do
-      ignore (Memsim.Llc.access llc (i * 64) ~write:false ~seq:false ~nvm:true)
+      ignore (llc_access llc (i * 64))
     done
   done;
   check_bool "small working set mostly hits" true
@@ -215,7 +216,7 @@ let ref_create ~nsets ~ways =
 let ref_set r line =
   line * 0x9E3779B1 land max_int land (Array.length r.r_sets - 1)
 
-(* Insert [entry] as MRU; returns the dirty eviction as (addr, nvm, seq). *)
+(* Insert [entry] as MRU; returns the dirty eviction as (nvm, seq). *)
 let ref_install r s entry =
   let lines = r.r_sets.(s) in
   let kept, evicted =
@@ -228,7 +229,7 @@ let ref_install r s entry =
   match evicted with
   | Some e when e.rl_dirty ->
       r.r_wbs <- r.r_wbs + 1;
-      Some (e.rl_line * 64, e.rl_nvm, e.rl_seq)
+      Some (e.rl_nvm, e.rl_seq)
   | _ -> None
 
 let ref_access r line ~write ~seq ~nvm =
@@ -280,16 +281,14 @@ let ref_line_dirty r line =
   List.exists (fun e -> e.rl_line = line && e.rl_dirty) r.r_sets.(ref_set r line)
 
 type llc_op =
-  | Run of { line : int; lines : int; write : bool; seq : bool; nvm : bool;
-             via_record : bool }
+  | Run of { line : int; lines : int; write : bool; seq : bool; nvm : bool }
   | Prefetch of { line : int; nvm : bool }
   | Dirty of int
   | Clear
 
 let show_llc_op = function
-  | Run { line; lines; write; seq; nvm; via_record } ->
-      Printf.sprintf "run(%d,%d,w=%b,s=%b,n=%b,rec=%b)" line lines write seq nvm
-        via_record
+  | Run { line; lines; write; seq; nvm } ->
+      Printf.sprintf "run(%d,%d,w=%b,s=%b,n=%b)" line lines write seq nvm
   | Prefetch { line; nvm } -> Printf.sprintf "prefetch(%d,n=%b)" line nvm
   | Dirty line -> Printf.sprintf "dirty(%d)" line
   | Clear -> "clear"
@@ -301,9 +300,9 @@ let gen_llc_op ~span =
     [
       ( 12,
         map
-          (fun (line, lines, (write, seq, nvm, via_record)) ->
-            Run { line; lines; write; seq; nvm; via_record })
-          (triple line (int_range 1 8) (quad bool bool bool bool)) );
+          (fun (line, lines, (write, seq, nvm)) ->
+            Run { line; lines; write; seq; nvm })
+          (triple line (int_range 1 8) (triple bool bool bool)) );
       (3, map2 (fun line nvm -> Prefetch { line; nvm }) line bool);
       (3, map (fun l -> Dirty l) line);
       (1, pure Clear);
@@ -330,18 +329,9 @@ let prop_llc_matches_reference =
         List.init (Memsim.Llc.run_wb_count llc) (fun i ->
             (Memsim.Llc.run_wb_nvm llc i, Memsim.Llc.run_wb_seq llc i))
       in
-      let flags = List.map (fun (_, nvm, seq) -> (nvm, seq)) in
       let step op =
         match op with
-        | Run { line; lines = 1; write; seq; nvm; via_record = true } ->
-            let outcome, wb = Memsim.Llc.access llc (line * 64) ~write ~seq ~nvm in
-            let wb =
-              Option.map
-                (fun w -> Memsim.Llc.(w.wb_addr, w.wb_nvm, w.wb_seq))
-                wb
-            in
-            (outcome, wb) = ref_access r line ~write ~seq ~nvm
-        | Run { line; lines; write; seq; nvm; _ } ->
+        | Run { line; lines; write; seq; nvm } ->
             let first =
               Memsim.Llc.access_run llc ((line * 64) + 17) ~lines ~write ~seq
                 ~nvm
@@ -351,12 +341,11 @@ let prop_llc_matches_reference =
                 (List.init lines (fun i ->
                      ref_access r (line + i) ~write ~seq ~nvm))
             in
-            first = List.hd outcomes
-            && run_wbs () = flags (List.filter_map Fun.id wbs)
+            first = List.hd outcomes && run_wbs () = List.filter_map Fun.id wbs
         | Prefetch { line; nvm } ->
             let fetched = Memsim.Llc.prefetch_q llc (line * 64) ~nvm in
             let fetched', wb = ref_prefetch r line ~nvm in
-            fetched = fetched' && run_wbs () = flags (Option.to_list wb)
+            fetched = fetched' && run_wbs () = Option.to_list wb
         | Dirty line ->
             Memsim.Llc.line_dirty llc ((line * 64) + 63) = ref_line_dirty r line
         | Clear ->
@@ -382,11 +371,17 @@ let mk_memory ?(trace = false) () =
   Memsim.Memory.create
     { Memsim.Memory.default_config with trace_enabled = trace }
 
+(* One charge through the single access path; returns its duration. *)
+let access ?force_device m ~now_ns ~addr ~space ~kind ~pattern bytes =
+  Memsim.Memory.access_run_into ?force_device m ~now_ns ~addr ~space ~kind
+    ~pattern ~bytes;
+  Memsim.Memory.last_duration m
+
 let test_memory_duration_positive () =
   let m = mk_memory () in
   let d =
-    Memsim.Memory.access m ~now_ns:0.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64)
+    access m ~now_ns:0.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64
   in
   check_bool "positive duration" true (d > 0.0);
   check_bool "at least the miss latency" true
@@ -395,8 +390,8 @@ let test_memory_duration_positive () =
 let test_memory_hit_cheaper () =
   let m = mk_memory () in
   let once () =
-    Memsim.Memory.access m ~now_ns:0.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64)
+    access m ~now_ns:0.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64
   in
   let miss = once () in
   let hit = once () in
@@ -406,8 +401,8 @@ let test_memory_prefetch_discount () =
   let m = mk_memory () in
   ignore (Memsim.Memory.prefetch m ~now_ns:0.0 ~addr:8192 A.Nvm);
   let d =
-    Memsim.Memory.access m ~now_ns:0.0 ~addr:8192
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64)
+    access m ~now_ns:0.0 ~addr:8192
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64
   in
   check_bool "prefetched access cheaper than a full miss" true
     (d < Memsim.Device.optane.Memsim.Device.read_latency_random_ns)
@@ -416,15 +411,15 @@ let test_memory_force_device () =
   let m = mk_memory () in
   (* warm the line so a normal write would hit *)
   ignore
-    (Memsim.Memory.access m ~now_ns:0.0 ~addr:4096
-       (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64));
+    (access m ~now_ns:0.0 ~addr:4096
+       ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64);
   let cached =
-    Memsim.Memory.access m ~now_ns:100.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8)
+    access m ~now_ns:100.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8
   in
   let forced =
-    Memsim.Memory.access ~force_device:true m ~now_ns:200.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8)
+    access ~force_device:true m ~now_ns:200.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8
   in
   check_bool "forced atomic write dearer than cached write" true
     (forced > cached)
@@ -436,9 +431,9 @@ let test_memory_pipe_ceiling () =
   let finish = ref 0.0 in
   for i = 0 to n - 1 do
     let d =
-      Memsim.Memory.access m ~now_ns:0.0
+      access m ~now_ns:0.0
         ~addr:(Simheap.Layout.heap_base + (i * bytes))
-        (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential bytes)
+        ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential bytes
     in
     finish := Float.max !finish d
   done;
@@ -453,8 +448,8 @@ let test_memory_write_frac_tracking () =
   let m = mk_memory () in
   for i = 0 to 9 do
     ignore
-      (Memsim.Memory.access m ~now_ns:(float_of_int i) ~addr:(i * 64)
-         (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 64))
+      (access m ~now_ns:(float_of_int i) ~addr:(i * 64)
+         ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 64)
   done;
   check_bool "write-only traffic -> write_frac near 1" true
     (Memsim.Memory.write_frac m A.Nvm ~now_ns:10.0 > 0.8);
@@ -465,14 +460,14 @@ let test_memory_mixed_slower_than_pure () =
   let pure = mk_memory () in
   let mixed = mk_memory () in
   let read m i now =
-    Memsim.Memory.access m ~now_ns:now
+    access m ~now_ns:now
       ~addr:(Simheap.Layout.heap_base + (i * 8192))
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 8192)
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 8192
   in
   let write m i now =
-    Memsim.Memory.access m ~now_ns:now
+    access m ~now_ns:now
       ~addr:(Simheap.Layout.dram_scratch_base + (i * 8192))
-      (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8192)
+      ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8192
   in
   let t_pure = ref 0.0 in
   for i = 0 to 199 do
@@ -495,9 +490,9 @@ let test_memory_nt_write_efficiency () =
     for i = 0 to 99 do
       t :=
         !t
-        +. Memsim.Memory.access m ~now_ns:!t
+        +. access m ~now_ns:!t
              ~addr:(Simheap.Layout.heap_base + (i * 16384))
-             (A.v ~space:A.Nvm ~kind ~pattern:A.Sequential 16384)
+             ~space:A.Nvm ~kind ~pattern:A.Sequential 16384
     done;
     !t
   in
@@ -509,11 +504,11 @@ let test_memory_snapshot_diff () =
   let m = mk_memory () in
   let before = Memsim.Memory.snapshot m in
   ignore
-    (Memsim.Memory.access m ~now_ns:0.0 ~addr:0
-       (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 1000));
+    (access m ~now_ns:0.0 ~addr:0
+       ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 1000);
   ignore
-    (Memsim.Memory.access m ~now_ns:10.0 ~addr:64
-       (A.v ~space:A.Dram ~kind:A.Write ~pattern:A.Sequential 500));
+    (access m ~now_ns:10.0 ~addr:64
+       ~space:A.Dram ~kind:A.Write ~pattern:A.Sequential 500);
   let diff = Memsim.Memory.diff ~before ~after:(Memsim.Memory.snapshot m) in
   check_float "nvm reads counted" 1000.0 diff.Memsim.Memory.nvm_read_bytes;
   check_float "dram writes counted" 500.0 diff.Memsim.Memory.dram_write_bytes;
@@ -522,8 +517,8 @@ let test_memory_snapshot_diff () =
 let test_memory_traces () =
   let m = mk_memory ~trace:true () in
   ignore
-    (Memsim.Memory.access m ~now_ns:0.0 ~addr:0
-       (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 4096));
+    (access m ~now_ns:0.0 ~addr:0
+       ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 4096);
   let series = Memsim.Memory.read_trace m A.Nvm in
   Alcotest.(check (float 1.0)) "trace mass = bytes" 4096.0
     (Simstats.Timeseries.total series)
@@ -652,13 +647,13 @@ let prop_access_duration_monotone_in_size =
     (fun bytes ->
       let m = mk_memory () in
       let d1 =
-        Memsim.Memory.access m ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
-          (A.v ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential bytes)
+        access m ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
+          ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential bytes
       in
       let m2 = mk_memory () in
       let d2 =
-        Memsim.Memory.access m2 ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
-          (A.v ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential (bytes * 2))
+        access m2 ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
+          ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential (bytes * 2)
       in
       d2 >= d1)
 

@@ -6,6 +6,7 @@
 module G = Verify.Graph
 module Spec = Simcheck.Spec
 module Fuzz = Simcheck.Fuzz
+module Sched = Simcheck.Sched
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -94,6 +95,57 @@ let test_schedules_perturb_timing () =
   let perturbed = List.init 5 (fun i -> pause_of (i + 1)) in
   check_bool "some schedule changes the simulated pause" true
     (List.exists (fun p -> p <> base) perturbed)
+
+(* Crash, counting and tamper wrappers replace only destructive
+   decisions and draw no randomness: driven through one identical call
+   sequence — destructive consultations interleaved — a wrapped schedule
+   gives exactly the bare schedule's pick/steal/defer/fallback answers.
+   Each tamper wrapper answers [true] once, on its own field only. *)
+let test_sched_wrappers_keep_stream () =
+  let drive (s : Nvmgc.Schedule.t) =
+    let early = ref 0 and dropped = ref 0 in
+    let answers =
+      List.init 300 (fun i ->
+          let tid = i mod 8 in
+          ignore (s.crash ~step:(i + 1) : bool);
+          if s.flush_early ~tid then incr early;
+          if s.drop_flush ~tid then incr dropped;
+          let thread =
+            s.pick_thread ~runnable:(Array.init (1 + (i mod 7)) Fun.id)
+          in
+          let victims = Array.init (1 + (i mod 3)) Fun.id in
+          let victim = s.pick_victim ~thief:tid ~victims in
+          let grab = s.defer_region_grab ~tid in
+          let fallback = s.force_hm_fallback ~tid in
+          let flush = s.defer_async_flush ~tid in
+          (thread, victim, grab, fallback, flush))
+    in
+    (answers, (!early, !dropped))
+  in
+  List.iter
+    (fun seed ->
+      let bare, bare_tampers = drive (Sched.of_seed seed) in
+      Alcotest.(check (pair int int)) "bare schedule never tampers" (0, 0)
+        bare_tampers;
+      let counted, count = Sched.counting (Sched.of_seed seed) in
+      List.iter
+        (fun (name, s, tampers) ->
+          let answers, fired = drive s in
+          check_bool (name ^ ": same decisions") true (answers = bare);
+          Alcotest.(check (pair int int))
+            (name ^ ": (flush_early, drop_flush) true answers")
+            tampers fired)
+        [
+          ("with_crash", Sched.with_crash ~crash_step:50 (Sched.of_seed seed),
+           (0, 0));
+          ("counting", counted, (0, 0));
+          ("with_tamper Early_ready",
+           Sched.with_tamper Sched.Early_ready (Sched.of_seed seed), (1, 0));
+          ("with_tamper Drop_flush",
+           Sched.with_tamper Sched.Drop_flush (Sched.of_seed seed), (0, 1));
+        ];
+      check_int "counting saw every crash point" 300 (count ()))
+    [ 1; 7; 42; 20211 ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaigns                                                           *)
@@ -278,8 +330,7 @@ let test_crash_campaign_green_and_deterministic () =
    repro-file tests below (the shrinker makes it the expensive part). *)
 let tampered_report =
   lazy
-    (Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Nvmgc.Evacuation.Tamper_drop_flush
-       ())
+    (Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Sched.Drop_flush ())
 
 let test_crash_tamper_caught_and_shrunk () =
   let r = Lazy.force tampered_report in
@@ -307,10 +358,7 @@ let test_crash_tamper_caught_and_shrunk () =
     r.Fuzz.failures;
   (* The protocol-decision mutation (answer a Keep with Ready) is caught
      by the same oracle. *)
-  let early =
-    Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Nvmgc.Evacuation.Tamper_early_ready
-      ()
-  in
+  let early = Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Sched.Early_ready () in
   check_bool "early-ready campaign fails" false (Fuzz.ok early)
 
 let test_crash_replay_reproduces () =
@@ -321,7 +369,7 @@ let test_crash_replay_reproduces () =
       ~sched_seed:f.Fuzz.sched_seed
       ~crash_step:(Option.get f.Fuzz.crash_step)
       ~variants:[ f.Fuzz.variant ]
-      ~tamper:Nvmgc.Evacuation.Tamper_drop_flush ()
+      ~tamper:Sched.Drop_flush ()
   in
   check_bool "replay reproduces the failure" false (Fuzz.ok rr);
   let rf = List.hd rr.Fuzz.failures in
@@ -364,6 +412,8 @@ let () =
             test_schedules_semantics_preserving;
           Alcotest.test_case "perturbs timing" `Quick
             test_schedules_perturb_timing;
+          Alcotest.test_case "wrappers keep the decision stream" `Quick
+            test_sched_wrappers_keep_stream;
         ] );
       ( "fuzz",
         [
