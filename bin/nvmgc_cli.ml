@@ -29,8 +29,17 @@ let options_term =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
   let threads =
+    let positive_int =
+      let parse s =
+        match Arg.conv_parser Arg.int s with
+        | Ok n when n >= 1 -> Ok n
+        | Ok n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
+        | Error _ as e -> e
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
     Arg.(
-      value & opt int 28
+      value & opt positive_int 28
       & info [ "threads"; "t" ] ~docv:"N" ~doc:"Default GC thread count.")
   in
   let gc_scale =

@@ -20,6 +20,21 @@ dune build @fuzz
 # no forwarding-state leakage, surviving graph closed).
 dune build @crash
 
+# Both campaigns are pure functions of --seed at any --jobs.  80 cases
+# clear Fuzz.effective_jobs' serial threshold (25 would not), so the
+# --jobs 8 leg really dispatches through the domain pool.
+for campaign in "" "--crash"; do
+  dune exec bin/nvmgc_cli.exe -- fuzz $campaign --cases 80 --seed 42 \
+    --jobs 1 > "$tmp/fuzz.j1"
+  dune exec bin/nvmgc_cli.exe -- fuzz $campaign --cases 80 --seed 42 \
+    --jobs 8 > "$tmp/fuzz.j8"
+  if ! cmp -s "$tmp/fuzz.j1" "$tmp/fuzz.j8"; then
+    echo "ci: fuzz ${campaign:-differential} report differs at --jobs 1/8" >&2
+    diff "$tmp/fuzz.j1" "$tmp/fuzz.j8" | head -n 20 >&2 || true
+    exit 1
+  fi
+done
+
 # The crash oracle's mutation table: each flush-protocol violation the
 # schedule seam can inject (--tamper) must make the 50-case seed-7 crash
 # campaign fail: at least 45 cases for early-ready (in the other five
@@ -41,6 +56,14 @@ for gate in early-ready:45 drop-flush:50; do
     echo "ci: --tamper $kind caught ${n:-no} of 50 cases," \
       "expected at least $need" >&2
     tail -n 5 "$tmp/tamper.out" >&2
+    exit 1
+  fi
+  # A printed replay line is self-contained: run verbatim, it must
+  # reproduce the failure (and so exit non-zero).
+  replay=$(sed -n 's/^replay: nvmgc_cli //p' "$tmp/tamper.out" | head -n 1)
+  if [ -z "$replay" ] \
+    || dune exec bin/nvmgc_cli.exe -- $replay > "$tmp/replay.out" 2>&1; then
+    echo "ci: --tamper $kind replay line missing or passed: $replay" >&2
     exit 1
   fi
   echo "crash oracle mutation table: --tamper $kind caught $n/50 cases"

@@ -9,9 +9,11 @@
     heap; because instantiation assigns identical object ids, all
     variants must produce equal {!Verify.Graph} captures — and each run
     is additionally checked by the heap-invariant verifier and the
-    oracle collector ({!Verify.Hooks}).  Failures shrink to a minimal
-    (spec, threads, schedule) triple and print a replayable
-    [--seed]/[--schedule] pair. *)
+    oracle collector ({!Verify.Hooks}).  The crash campaign is the same
+    driver along a second axis: each run is additionally killed at
+    injected crash points and the frozen image held to {!Recovery}.
+    Failures shrink to a minimal (spec, threads, schedule, crash step)
+    reproducer and print a replayable command line. *)
 
 module G = Verify.Graph
 
@@ -131,57 +133,153 @@ let derive_case ~index ~heap_seed ~sched_seed ~max_objects =
   let spec = Spec.generate rng ~max_objects in
   { index; heap_seed; sched_seed; threads; spec }
 
-let run_variant ?tamper ~spec ~threads ~sched_seed (v : variant) =
+(* The two campaigns.  [Differential]: every variant collects the case
+   and must reproduce the first variant's live graph; the optional heap
+   tamper is {!run_variant}'s mutation-testing seam.  [Crash]: per
+   variant, a probe counts the case's crash points, then the pause is
+   killed at a drawn step and at the last one ([forced_step] replaces
+   both with a single crash at that step); [tamper] arms a protocol
+   mutation through the schedule seam. *)
+type mode =
+  | Differential of (string -> Spec.instance -> unit) option
+  | Crash of { forced_step : int option; tamper : Sched.tamper option }
+
+(* The schedule every crash run executes under.  The crash seam only
+   exists on the scheduled engine, so seed 0 wraps the identity schedule
+   rather than meaning "no schedule", and [tamper] arms a fresh one-shot
+   mutation for this run.  Crash and tamper wrappers consume no PRNG, so
+   the probe and every crashing run of a case see identical decision
+   streams. *)
+let crash_schedule tamper sched_seed =
+  let base =
+    if sched_seed = 0 then Nvmgc.Schedule.default else Sched.of_seed sched_seed
+  in
+  match tamper with None -> base | Some k -> Sched.with_tamper k base
+
+(* The one execution primitive: instantiate [spec] on a fresh heap,
+   collect once under [v] (verification hooks armed) and map verifier,
+   oracle and evacuation failures to messages.  With [crash_step], the
+   pause is killed at that crash point with durability tracking armed,
+   and the frozen heap + NVM image is held to the {!Recovery}
+   obligations.  [Ok None]: the crash was recoverable. *)
+let execute ?schedule ?crash_step ~spec ~threads (v : variant) =
   let inst = Spec.instantiate spec in
   let memory = Memsim.Memory.create Memsim.Memory.default_config in
-  let config = v.make ~threads in
-  let schedule =
-    if sched_seed = 0 then None else Some (Sched.of_seed sched_seed)
+  let schedule, pre =
+    match crash_step with
+    | None -> (schedule, None)
+    | Some crash_step ->
+        Memsim.Memory.set_durability_tracking memory true;
+        ( Option.map (Sched.with_crash ~crash_step) schedule,
+          Some (G.capture inst.Spec.heap) )
   in
   let gc =
-    Nvmgc.Young_gc.create ?schedule ~heap:inst.Spec.heap ~memory config
+    Nvmgc.Young_gc.create ?schedule ~heap:inst.Spec.heap ~memory
+      (v.make ~threads)
   in
   match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
-  | pause ->
-      (* Mutation-testing seam: corrupt the post-pause heap of selected
-         variants before the graph capture, so tests can inject a
-         deterministic differential failure. *)
-      (match tamper with Some f -> f v.name inst | None -> ());
-      Ok (G.capture inst.Spec.heap, pause)
+  | pause -> Ok (Some (inst, pause))
+  | exception Nvmgc.Evacuation.Crashed st -> (
+      match
+        Recovery.check ~pre:(Option.get pre) ~heap:inst.Spec.heap ~memory st
+      with
+      | [] -> Ok None
+      | msgs ->
+          Error
+            (Printf.sprintf "unrecoverable crash at step %d under %s:"
+               st.Nvmgc.Evacuation.crash_step v.name
+            :: msgs))
   | exception Verify.Hooks.Verification_failure (desc, msgs) ->
       Error (Printf.sprintf "verification failure under %s" desc :: msgs)
   | exception Nvmgc.Evacuation.Evacuation_failure msg ->
       Error [ "evacuation failure: " ^ msg ]
 
-(* Run one case through every variant; the first variant's live graph is
-   the reference the others must reproduce. *)
-let run_case ?tamper ~variants ~spec ~threads ~sched_seed () =
-  let results =
+let run_variant ?tamper ~spec ~threads ~sched_seed (v : variant) =
+  let schedule =
+    if sched_seed = 0 then None else Some (Sched.of_seed sched_seed)
+  in
+  match execute ?schedule ~spec ~threads v with
+  | Ok (Some (inst, pause)) ->
+      (* Mutation-testing seam: corrupt the post-pause heap of selected
+         variants before the graph capture, so tests can inject a
+         deterministic differential failure. *)
+      (match tamper with Some f -> f v.name inst | None -> ());
+      Ok (G.capture inst.Spec.heap, pause)
+  | Ok None -> assert false (* no crash step, so no crash *)
+  | Error msgs -> Error msgs
+
+(* Run one case through every variant.  Returns the per-variant pauses
+   for the summary (the crash campaign's are its probes') and the first
+   failure: [(variant, crash step if a crash failed, messages)].  Crash
+   steps come off a case-local stream derived from the heap seed, so
+   they are a pure function of the case at any job count. *)
+let run_case mode ~variants (case : case) =
+  let { spec; threads; sched_seed; _ } = case in
+  let failure = ref None and reference = ref None in
+  let fail v step msgs =
+    if Option.is_none !failure then failure := Some (v, step, msgs)
+  in
+  let crash_rng =
+    lazy (Simstats.Prng.create (case.heap_seed lxor 0x6b43a9b1))
+  in
+  let crash_at tamper (v : variant) step =
+    match
+      execute ~schedule:(crash_schedule tamper sched_seed) ~crash_step:step
+        ~spec ~threads v
+    with
+    | Ok _ -> ()
+    | Error msgs -> fail v (Some step) msgs
+  in
+  let pauses =
     List.map
-      (fun v -> (v, run_variant ?tamper ~spec ~threads ~sched_seed v))
+      (fun (v : variant) ->
+        match mode with
+        | Differential tamper -> (
+            match run_variant ?tamper ~spec ~threads ~sched_seed v with
+            | Error msgs ->
+                fail v None msgs;
+                None
+            | Ok (g, pause) ->
+                (match !reference with
+                | None -> reference := Some (v.name, g)
+                | Some (ref_name, ref_g) ->
+                    if Option.is_none !failure then
+                      let d = G.diff ~expected:ref_g ~got:g in
+                      if d <> [] then
+                        fail v None
+                          (Printf.sprintf "live-graph mismatch against %s:"
+                             ref_name
+                          :: d));
+                Some pause)
+        | Crash { forced_step = Some step; tamper } ->
+            crash_at tamper v step;
+            None
+        | Crash { forced_step = None; tamper } -> (
+            (* The probe completes a full verified pause under a
+               never-firing crash wrapper, so it doubles as the sanity
+               run; then a drawn step, and the last crash point (right
+               after the final flush is reported durable — the step that
+               checks every durability report at once). *)
+            let schedule, count =
+              Sched.counting (crash_schedule tamper sched_seed)
+            in
+            match execute ~schedule ~spec ~threads v with
+            | Error msgs ->
+                fail v None msgs;
+                None
+            | Ok probe ->
+                let total = count () in
+                if total > 0 then begin
+                  let drawn =
+                    1 + Simstats.Prng.int (Lazy.force crash_rng) total
+                  in
+                  List.iter (crash_at tamper v)
+                    (if drawn = total then [ drawn ] else [ drawn; total ])
+                end;
+                Option.map snd probe))
       variants
   in
-  let reference = ref None in
-  let failure = ref None in
-  List.iter
-    (fun ((v : variant), r) ->
-      if Option.is_none !failure then
-        match r with
-        | Error msgs -> failure := Some (v.name, msgs)
-        | Ok (g, _) -> (
-            match !reference with
-            | None -> reference := Some (v.name, g)
-            | Some (ref_name, ref_g) ->
-                let d = G.diff ~expected:ref_g ~got:g in
-                if d <> [] then
-                  failure :=
-                    Some
-                      ( v.name,
-                        Printf.sprintf "live-graph mismatch against %s:"
-                          ref_name
-                        :: d )))
-    results;
-  (results, !failure)
+  (pauses, !failure)
 
 (* ------------------------------------------------------------------ *)
 (* Failures and shrinking                                              *)
@@ -207,278 +305,107 @@ type failure = {
       (** the continuous recorder's flight-ring dump of the shrunk
           reproducer — the last milliseconds of memory-system history
           before the failure *)
+  tamper : Sched.tamper option;
+      (** the protocol mutation the failure was found (and shrunk)
+          under; the replay line re-arms it *)
 }
 
-(* Re-run a case with a private flight recorder installed and return the
-   ring dump: the memory-system history that accompanies the shrunk
-   reproducer.  Recording is pure observation, so the re-run fails
-   identically; the private install is restored even if it raises. *)
-let capture_flight ?tamper ~variants ~spec ~threads ~sched_seed () =
+(* Run [f] with a private flight recorder installed and return its
+   result with the ring dump.  Recording is pure observation, so [f]
+   behaves exactly as it would unrecorded; the previous recorder is
+   restored even if [f] raises. *)
+let with_flight f =
   let saved = Nvmtrace.Hooks.recorder () in
   let recorder = Nvmtrace.Recorder.create () in
   Nvmtrace.Hooks.set_recorder (Some recorder);
   Fun.protect
     ~finally:(fun () -> Nvmtrace.Hooks.set_recorder saved)
     (fun () ->
-      ignore
-        (run_case ?tamper ~variants ~spec ~threads ~sched_seed ()
-          : ((variant * _) list) * _);
-      Nvmtrace.Recorder.flight_dump recorder)
+      let r = f () in
+      (r, Nvmtrace.Recorder.flight_dump recorder))
 
-let shrink_failure ?tamper ~variants ~budget (case : case) (variant, messages)
-    =
-  let fails spec threads sched_seed =
-    Option.is_some
-      (snd (run_case ?tamper ~variants ~spec ~threads ~sched_seed ()))
+(* Shrink a failure: schedule -> 0, threads -> 1 (a reproducer that fails
+   under the default engine with one thread is the most readable kind),
+   then the crash step when the failure carries one (greedy halving
+   toward 1, then unit decrements), then the spec.  Every phase accepts
+   only still-failing candidates and later phases keep earlier results
+   fixed; the crash wrapper fires at the first consultation >= the step,
+   so a shrunk spec with fewer crash points either still crashes (and
+   must still fail) or completes (and the candidate is rejected).  A
+   crash failure re-runs only its variant at its step; a probe failure
+   (the crash campaign's sanity run itself failed) is an ordinary
+   verification failure and shrinks differentially, on its variant
+   alone.  The shrunk reproducer is re-run once more under a private
+   recorder for its messages and flight dump. *)
+let shrink mode ~variants ~shrink_budget (case : case)
+    ((v : variant), step, messages) =
+  let budget = ref shrink_budget in
+  let mode, variants =
+    match (mode, step) with
+    | Differential _, _ -> (mode, variants)
+    | Crash _, Some _ -> (mode, [ v ])
+    | Crash _, None -> (Differential None, [ v ])
   in
-  let threads = ref case.threads and sched = ref case.sched_seed in
-  (* Schedule and thread count first: a reproducer that fails under the
-     default engine with one thread is the most readable kind. *)
-  if !budget > 0 && !sched <> 0 then begin
-    decr budget;
-    if fails case.spec !threads 0 then sched := 0
-  end;
-  if !budget > 0 && !threads <> 1 then begin
-    decr budget;
-    if fails case.spec 1 !sched then threads := 1
-  end;
-  let shrunk_spec =
-    Spec.shrink ~budget ~check:(fun s -> fails s !threads !sched) case.spec
+  let run c step =
+    let mode =
+      match mode with
+      | Crash k -> Crash { k with forced_step = step }
+      | Differential _ -> mode
+    in
+    snd (run_case mode ~variants c)
   in
+  let attempt c step =
+    !budget > 0
+    && begin
+         decr budget;
+         Option.is_some (run c step)
+       end
+  in
+  let prefer c' c = if attempt c' step then c' else c in
+  let c =
+    if case.sched_seed = 0 then case
+    else prefer { case with sched_seed = 0 } case
+  in
+  let c = if c.threads = 1 then c else prefer { c with threads = 1 } c in
+  let rec halve s =
+    let cand = s / 2 in
+    if cand >= 1 && attempt c (Some cand) then halve cand else s
+  in
+  let rec decrement s =
+    if s > 1 && attempt c (Some (s - 1)) then decrement (s - 1) else s
+  in
+  let shrunk_step = Option.map (fun s -> decrement (halve s)) step in
+  let c =
+    {
+      c with
+      spec =
+        Spec.shrink ~budget
+          ~check:(fun spec -> Option.is_some (run { c with spec } shrunk_step))
+          c.spec;
+    }
+  in
+  let rerun, flight_dump = with_flight (fun () -> run c shrunk_step) in
   let shrunk_variant, shrunk_messages =
-    match
-      snd (run_case ?tamper ~variants ~spec:shrunk_spec ~threads:!threads
-             ~sched_seed:!sched ())
-    with
-    | Some (v, m) -> (v, m)
-    | None -> (variant, messages)
-  in
-  let flight_dump =
-    capture_flight ?tamper ~variants ~spec:shrunk_spec ~threads:!threads
-      ~sched_seed:!sched ()
+    match rerun with
+    | Some ((v' : variant), _, m) -> (v'.name, m)
+    | None -> (v.name, messages)
   in
   {
     case_index = case.index;
     heap_seed = case.heap_seed;
     sched_seed = case.sched_seed;
     threads = case.threads;
-    variant;
+    variant = v.name;
     messages;
-    shrunk_spec;
-    shrunk_threads = !threads;
-    shrunk_sched_seed = !sched;
+    shrunk_spec = c.spec;
+    shrunk_threads = c.threads;
+    shrunk_sched_seed = c.sched_seed;
     shrunk_variant;
     shrunk_messages;
-    crash_step = None;
-    shrunk_crash_step = None;
+    crash_step = step;
+    shrunk_crash_step = shrunk_step;
     flight_dump;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Crash-consistency campaign: crash-point injection + recovery oracle *)
-
-(* The schedule every crash run executes under: sched_seed 0 wraps the
-   identity schedule (the crash seam only exists on the scheduled
-   engine), any other seed wraps its {!Sched.of_seed} stream, and
-   [tamper] arms a fresh one-shot protocol mutation for this run.  Crash
-   and tamper wrappers consume no PRNG, so the probe and every crashing
-   run of a case see identical decision streams. *)
-let crash_base_schedule ?tamper sched_seed =
-  let base =
-    if sched_seed = 0 then Nvmgc.Schedule.default else Sched.of_seed sched_seed
-  in
-  match tamper with None -> base | Some k -> Sched.with_tamper k base
-
-(* Probe run: count the case's crash points under a never-firing crash
-   wrapper.  Completes a full verified pause, so it doubles as the
-   campaign's sanity run and supplies the summary statistics. *)
-let probe_crash_points ?tamper ~spec ~threads ~sched_seed (v : variant) =
-  let inst = Spec.instantiate spec in
-  let memory = Memsim.Memory.create Memsim.Memory.default_config in
-  let config = v.make ~threads in
-  let schedule, count =
-    Sched.counting (crash_base_schedule ?tamper sched_seed)
-  in
-  let gc =
-    Nvmgc.Young_gc.create ~schedule ~heap:inst.Spec.heap ~memory config
-  in
-  match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
-  | pause -> Ok (pause, count ())
-  | exception Verify.Hooks.Verification_failure (desc, msgs) ->
-      Error (Printf.sprintf "verification failure under %s" desc :: msgs)
-  | exception Nvmgc.Evacuation.Evacuation_failure msg ->
-      Error [ "evacuation failure: " ^ msg ]
-
-(* One crashing run: kill the pause at [crash_step], then hold the
-   frozen heap + NVM image to the recovery obligations.  A run that
-   completes without reaching the crash point trivially passes (the
-   power never failed). *)
-let run_crash_variant ?tamper ~spec ~threads ~sched_seed ~crash_step
-    (v : variant) =
-  let inst = Spec.instantiate spec in
-  let memory = Memsim.Memory.create Memsim.Memory.default_config in
-  Memsim.Memory.set_durability_tracking memory true;
-  let config = v.make ~threads in
-  let schedule =
-    Sched.with_crash ~crash_step (crash_base_schedule ?tamper sched_seed)
-  in
-  let pre = G.capture inst.Spec.heap in
-  let gc =
-    Nvmgc.Young_gc.create ~schedule ~heap:inst.Spec.heap ~memory config
-  in
-  match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
-  | (_ : Nvmgc.Gc_stats.pause) -> Ok ()
-  | exception Nvmgc.Evacuation.Crashed st ->
-      let msgs = Recovery.check ~pre ~heap:inst.Spec.heap ~memory st in
-      if msgs = [] then Ok ()
-      else
-        Error
-          (Printf.sprintf "unrecoverable crash at step %d under %s:"
-             st.Nvmgc.Evacuation.crash_step v.name
-          :: msgs)
-  | exception Verify.Hooks.Verification_failure (desc, msgs) ->
-      Error (Printf.sprintf "verification failure under %s" desc :: msgs)
-  | exception Nvmgc.Evacuation.Evacuation_failure msg ->
-      Error [ "evacuation failure: " ^ msg ]
-
-(* Run one case through the crash matrix.  Per variant: the probe, then
-   a crash at a step drawn from the case-local PRNG, then a crash at the
-   last crash point (right after the final flush is reported durable —
-   the step that checks every durability report at once).  [forced_step]
-   (the CLI's [--crash-step]) replaces all of that with a single crash
-   at the given step.  Returns per-variant probe pauses for the summary
-   and the first failure: [(variant, crash_step option, messages)]. *)
-let run_crash_case ?tamper ~variants ~spec ~threads ~sched_seed ~crash_rng
-    ~forced_step () =
-  let failure = ref None in
-  let record_failure v step msgs =
-    if Option.is_none !failure then failure := Some (v, step, msgs)
-  in
-  let pauses =
-    List.map
-      (fun (v : variant) ->
-        match forced_step with
-        | Some step -> begin
-            (match
-               run_crash_variant ?tamper ~spec ~threads ~sched_seed
-                 ~crash_step:step v
-             with
-            | Ok () -> ()
-            | Error msgs -> record_failure v (Some step) msgs);
-            None
-          end
-        | None -> begin
-            match probe_crash_points ?tamper ~spec ~threads ~sched_seed v with
-            | Error msgs ->
-                record_failure v None msgs;
-                None
-            | Ok (pause, total) ->
-                if total > 0 then begin
-                  let drawn = 1 + Simstats.Prng.int crash_rng total in
-                  let steps =
-                    if drawn = total then [ drawn ] else [ drawn; total ]
-                  in
-                  List.iter
-                    (fun step ->
-                      match
-                        run_crash_variant ?tamper ~spec ~threads ~sched_seed
-                          ~crash_step:step v
-                      with
-                      | Ok () -> ()
-                      | Error msgs -> record_failure v (Some step) msgs)
-                    steps
-                end;
-                Some pause
-          end)
-      variants
-  in
-  (pauses, !failure)
-
-let capture_crash_flight ?tamper ~spec ~threads ~sched_seed ~crash_step v =
-  let saved = Nvmtrace.Hooks.recorder () in
-  let recorder = Nvmtrace.Recorder.create () in
-  Nvmtrace.Hooks.set_recorder (Some recorder);
-  Fun.protect
-    ~finally:(fun () -> Nvmtrace.Hooks.set_recorder saved)
-    (fun () ->
-      ignore
-        (run_crash_variant ?tamper ~spec ~threads ~sched_seed ~crash_step v
-          : (unit, string list) result);
-      Nvmtrace.Recorder.flight_dump recorder)
-
-(* Shrink a crash failure: schedule -> threads -> crash step -> spec.
-   The crash step minimizes by greedy halving toward 1 and then unit
-   decrements, accepting only still-failing candidates; every later
-   phase keeps the step fixed, and the crash wrapper fires at the first
-   consultation >= the step, so a shrunk spec with fewer crash points
-   either still crashes (and must still fail) or completes (and the
-   candidate is rejected). *)
-let shrink_crash_failure ~budget (case : case) ~variant_obj ~crash_step
-    ?tamper (variant, messages) =
-  let fails spec threads sched_seed step =
-    match
-      run_crash_variant ?tamper ~spec ~threads ~sched_seed ~crash_step:step
-        variant_obj
-    with
-    | Error _ -> true
-    | Ok () -> false
-  in
-  let threads = ref case.threads and sched = ref case.sched_seed in
-  let step = ref crash_step in
-  if !budget > 0 && !sched <> 0 then begin
-    decr budget;
-    if fails case.spec !threads 0 !step then sched := 0
-  end;
-  if !budget > 0 && !threads <> 1 then begin
-    decr budget;
-    if fails case.spec 1 !sched !step then threads := 1
-  end;
-  let halving = ref true in
-  while !halving do
-    let cand = !step / 2 in
-    if cand >= 1 && !budget > 0 then begin
-      decr budget;
-      if fails case.spec !threads !sched cand then step := cand
-      else halving := false
-    end
-    else halving := false
-  done;
-  let stepping = ref true in
-  while !stepping && !step > 1 && !budget > 0 do
-    decr budget;
-    if fails case.spec !threads !sched (!step - 1) then step := !step - 1
-    else stepping := false
-  done;
-  let shrunk_spec =
-    Spec.shrink ~budget ~check:(fun s -> fails s !threads !sched !step) case.spec
-  in
-  let shrunk_messages =
-    match
-      run_crash_variant ?tamper ~spec:shrunk_spec ~threads:!threads
-        ~sched_seed:!sched ~crash_step:!step variant_obj
-    with
-    | Error m -> m
-    | Ok () -> messages
-  in
-  let flight_dump =
-    capture_crash_flight ?tamper ~spec:shrunk_spec ~threads:!threads
-      ~sched_seed:!sched ~crash_step:!step variant_obj
-  in
-  {
-    case_index = case.index;
-    heap_seed = case.heap_seed;
-    sched_seed = case.sched_seed;
-    threads = case.threads;
-    variant;
-    messages;
-    shrunk_spec;
-    shrunk_threads = !threads;
-    shrunk_sched_seed = !sched;
-    shrunk_variant = variant;
-    shrunk_messages;
-    crash_step = Some crash_step;
-    shrunk_crash_step = Some !step;
-    flight_dump;
+    tamper = (match mode with Crash k -> k.tamper | Differential _ -> None);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -513,60 +440,51 @@ let effective_jobs ~cases ~variants ~max_objects jobs =
   let units = cases * variants * max_objects in
   if units < serial_unit_threshold then 1 else max 1 jobs
 
-let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
-    ?(time_budget_s = infinity) ?(variants = []) ?tamper ~cases ~seed () =
+(* Both seeds come off the master stream, drawn serially for every case
+   before any case runs, so a campaign is a pure function of [seed] at
+   any job count; roughly one case in ten runs the default min-clock
+   engine instead of a random schedule. *)
+let draw_seeds ~seed ~cases =
+  let master = Simstats.Prng.create seed in
+  Array.init cases (fun _ ->
+      let heap_seed = Simstats.Prng.bits master in
+      let sched_seed =
+        if Simstats.Prng.int master 10 = 0 then 0 else Simstats.Prng.bits master
+      in
+      (heap_seed, sched_seed))
+
+(* The one driver: run every (heap seed, schedule seed) pair as a case,
+   one case per task, shrinking a failure inside its task on the domain
+   that found it.  A replay is a campaign over one given pair. *)
+let campaign mode ~jobs ~max_objects ~shrink_budget ~time_budget_s ~variants
+    ~seed pairs =
   (* Process-global hook registration happens before any worker domain
      spawns (install-before-spawn). *)
   Verify.Hooks.ensure_installed ();
-  let variants = select_variants variants in
-  if variants = [] then invalid_arg "Simcheck.Fuzz.run: empty variant list";
-  let jobs =
-    effective_jobs ~cases ~variants:(List.length variants) ~max_objects jobs
+  let crash = match mode with Crash _ -> true | Differential _ -> false in
+  let variants =
+    select_variants
+      (if crash && variants = [] then crash_variant_names else variants)
   in
-  (* Both seeds come off the master stream, drawn serially for every case
-     before any task runs — the exact draw order of the sequential
-     engine, so a campaign is a pure function of [seed] at any job
-     count; roughly one case in ten runs the default min-clock engine
-     instead of a random schedule. *)
-  let master = Simstats.Prng.create seed in
-  let seeds = Array.make (max cases 0) (0, 0) in
-  for i = 0 to cases - 1 do
-    let heap_seed = Simstats.Prng.bits master in
-    let sched_seed =
-      if Simstats.Prng.int master 10 = 0 then 0 else Simstats.Prng.bits master
-    in
-    seeds.(i) <- (heap_seed, sched_seed)
-  done;
+  let cases = Array.length pairs in
+  (* A crash case runs each variant up to three times (probe + two
+     crashes), so weight the pool-vs-serial estimate accordingly. *)
+  let jobs =
+    effective_jobs ~cases
+      ~variants:((if crash then 3 else 1) * List.length variants)
+      ~max_objects jobs
+  in
   let start = Sys.time () in
-  (* One case = one task; shrinking a failure stays inside the task, on
-     the domain that found it.  The time budget is checked at task start
-     (CPU seconds of the whole process, as in the sequential engine). *)
+  (* The time budget is checked at task start, in CPU seconds of the
+     whole process. *)
   let task index =
     if Sys.time () -. start > time_budget_s then None
-    else begin
-      let heap_seed, sched_seed = seeds.(index) in
-      let (case : case) =
-        derive_case ~index ~heap_seed ~sched_seed ~max_objects
-      in
-      let results, failure =
-        run_case ?tamper ~variants ~spec:case.spec ~threads:case.threads
-          ~sched_seed ()
-      in
-      let pauses =
-        List.map
-          (fun ((_ : variant), r) ->
-            match r with Ok (_, pause) -> Some pause | Error _ -> None)
-          results
-      in
-      let failure =
-        Option.map
-          (fun f ->
-            let budget = ref shrink_budget in
-            shrink_failure ?tamper ~variants ~budget case f)
-          failure
-      in
-      Some (pauses, failure)
-    end
+    else
+      let heap_seed, sched_seed = pairs.(index) in
+      let case = derive_case ~index ~heap_seed ~sched_seed ~max_objects in
+      let pauses, failure = run_case mode ~variants case in
+      Some
+        (pauses, Option.map (shrink mode ~variants ~shrink_budget case) failure)
   in
   let outcomes =
     if jobs = 1 then Array.init cases task
@@ -582,7 +500,7 @@ let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
     cases_requested = cases;
     cases_run = List.length ran;
     variants_run = List.map (fun (v : variant) -> v.name) variants;
-    crash = false;
+    crash;
     summaries =
       List.mapi
         (fun vi (v : variant) ->
@@ -594,163 +512,32 @@ let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
     failures = List.filter_map snd ran;
   }
 
+let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
+    ?(time_budget_s = infinity) ?(variants = []) ?tamper ~cases ~seed () =
+  campaign (Differential tamper) ~jobs ~max_objects ~shrink_budget
+    ~time_budget_s ~variants ~seed (draw_seeds ~seed ~cases)
+
 let replay ?(max_objects = 40) ?(shrink_budget = 400) ?(variants = []) ?tamper
     ~heap_seed ~sched_seed () =
-  Verify.Hooks.ensure_installed ();
-  let variants = select_variants variants in
-  if variants = [] then invalid_arg "Simcheck.Fuzz.replay: empty variant list";
-  let (case : case) = derive_case ~index:0 ~heap_seed ~sched_seed ~max_objects in
-  let results, failure =
-    run_case ?tamper ~variants ~spec:case.spec ~threads:case.threads
-      ~sched_seed ()
-  in
-  let failures =
-    match failure with
-    | None -> []
-    | Some f ->
-        let budget = ref shrink_budget in
-        [ shrink_failure ?tamper ~variants ~budget case f ]
-  in
-  {
-    seed = heap_seed;
-    cases_requested = 1;
-    cases_run = 1;
-    variants_run = List.map (fun (v : variant) -> v.name) variants;
-    crash = false;
-    summaries =
-      List.map
-        (fun ((v : variant), r) ->
-          {
-            variant = v.name;
-            pauses = (match r with Ok (_, p) -> [ p ] | Error _ -> []);
-          })
-        results;
-    failures;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The crash campaign driver                                           *)
-
-(* Every crash failure shrinks through the crash path when it carries a
-   step; a probe failure (the sanity run itself failed) shrinks through
-   the ordinary differential machinery restricted to the one variant. *)
-let shrink_crash_outcome ?tamper ~shrink_budget (case : case)
-    ((v : variant), step, msgs) =
-  let budget = ref shrink_budget in
-  match step with
-  | Some crash_step ->
-      shrink_crash_failure ~budget case ~variant_obj:v ~crash_step ?tamper
-        (v.name, msgs)
-  | None -> shrink_failure ~variants:[ v ] ~budget case (v.name, msgs)
+  campaign (Differential tamper) ~jobs:1 ~max_objects ~shrink_budget
+    ~time_budget_s:infinity ~variants ~seed:heap_seed
+    [| (heap_seed, sched_seed) |]
 
 let run_crash ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
     ?(time_budget_s = infinity) ?(variants = []) ?crash_step ?tamper ~cases
     ~seed () =
-  Verify.Hooks.ensure_installed ();
-  let variants =
-    select_variants (if variants = [] then crash_variant_names else variants)
-  in
-  if variants = [] then
-    invalid_arg "Simcheck.Fuzz.run_crash: empty variant list";
-  (* A crash case runs each variant up to three times (probe + two
-     crashes), so weight the pool-vs-serial estimate accordingly. *)
-  let jobs =
-    effective_jobs ~cases ~variants:(3 * List.length variants) ~max_objects
-      jobs
-  in
-  let master = Simstats.Prng.create seed in
-  let seeds = Array.make (max cases 0) (0, 0) in
-  for i = 0 to cases - 1 do
-    let heap_seed = Simstats.Prng.bits master in
-    let sched_seed =
-      if Simstats.Prng.int master 10 = 0 then 0 else Simstats.Prng.bits master
-    in
-    seeds.(i) <- (heap_seed, sched_seed)
-  done;
-  let start = Sys.time () in
-  let task index =
-    if Sys.time () -. start > time_budget_s then None
-    else begin
-      let heap_seed, sched_seed = seeds.(index) in
-      let (case : case) =
-        derive_case ~index ~heap_seed ~sched_seed ~max_objects
-      in
-      (* Crash steps come off a case-local stream derived from the heap
-         seed, so they are a pure function of the case at any job
-         count. *)
-      let crash_rng = Simstats.Prng.create (heap_seed lxor 0x6b43a9b1) in
-      let pauses, failure =
-        run_crash_case ?tamper ~variants ~spec:case.spec
-          ~threads:case.threads ~sched_seed ~crash_rng
-          ~forced_step:crash_step ()
-      in
-      let failure =
-        Option.map (shrink_crash_outcome ?tamper ~shrink_budget case) failure
-      in
-      Some (pauses, failure)
-    end
-  in
-  let outcomes =
-    if jobs = 1 then Array.init cases task
-    else
-      Exec.Pool.with_pool ~domains:jobs (fun pool ->
-          Exec.Pool.run pool task cases)
-  in
-  let ran = Array.to_list outcomes |> List.filter_map Fun.id in
-  {
-    seed;
-    cases_requested = cases;
-    cases_run = List.length ran;
-    variants_run = List.map (fun (v : variant) -> v.name) variants;
-    crash = true;
-    summaries =
-      List.mapi
-        (fun vi (v : variant) ->
-          {
-            variant = v.name;
-            pauses = List.filter_map (fun (pauses, _) -> List.nth pauses vi) ran;
-          })
-        variants;
-    failures = List.filter_map snd ran;
-  }
+  campaign
+    (Crash { forced_step = crash_step; tamper })
+    ~jobs ~max_objects ~shrink_budget ~time_budget_s ~variants ~seed
+    (draw_seeds ~seed ~cases)
 
 let replay_crash ?(max_objects = 40) ?(shrink_budget = 400) ?(variants = [])
     ?crash_step ?tamper ~heap_seed ~sched_seed () =
-  Verify.Hooks.ensure_installed ();
-  let variants =
-    select_variants (if variants = [] then crash_variant_names else variants)
-  in
-  if variants = [] then
-    invalid_arg "Simcheck.Fuzz.replay_crash: empty variant list";
-  let (case : case) =
-    derive_case ~index:0 ~heap_seed ~sched_seed ~max_objects
-  in
-  let crash_rng = Simstats.Prng.create (heap_seed lxor 0x6b43a9b1) in
-  let pauses, failure =
-    run_crash_case ?tamper ~variants ~spec:case.spec ~threads:case.threads
-      ~sched_seed ~crash_rng ~forced_step:crash_step ()
-  in
-  let failures =
-    match failure with
-    | None -> []
-    | Some f -> [ shrink_crash_outcome ?tamper ~shrink_budget case f ]
-  in
-  {
-    seed = heap_seed;
-    cases_requested = 1;
-    cases_run = 1;
-    variants_run = List.map (fun (v : variant) -> v.name) variants;
-    crash = true;
-    summaries =
-      List.mapi
-        (fun vi (v : variant) ->
-          {
-            variant = v.name;
-            pauses = (match List.nth pauses vi with Some p -> [ p ] | None -> []);
-          })
-        variants;
-    failures;
-  }
+  campaign
+    (Crash { forced_step = crash_step; tamper })
+    ~jobs:1 ~max_objects ~shrink_budget ~time_budget_s:infinity ~variants
+    ~seed:heap_seed
+    [| (heap_seed, sched_seed) |]
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -787,8 +574,11 @@ let pp_failure ppf f =
   | Some step ->
       Format.fprintf ppf
         "replay: nvmgc_cli fuzz --crash --cases 1 --seed %d --schedule %d \
-         --crash-step %d@]"
+         --crash-step %d%s@]"
         f.heap_seed f.sched_seed step
+        (match List.find_opt (fun (_, k) -> Some k = f.tamper) tampers with
+        | Some (name, _) -> " --tamper " ^ name
+        | None -> "")
   | None ->
       Format.fprintf ppf
         "replay: nvmgc_cli fuzz --cases 1 --seed %d --schedule %d@]"

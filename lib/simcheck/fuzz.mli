@@ -67,6 +67,9 @@ type failure = {
           milliseconds of memory-system history before the failure,
           captured by re-running the reproducer with a private
           {!Nvmtrace.Recorder} installed *)
+  tamper : Sched.tamper option;
+      (** the protocol mutation armed when the failure was found and
+          shrunk; the printed replay line re-arms it with [--tamper] *)
 }
 
 type variant_summary = {
@@ -155,7 +158,8 @@ val run_crash :
     steps are pure functions of [seed], and the report is rebuilt in
     case order.  Failures shrink over schedule -> threads -> crash step
     -> spec and print a replayable
-    [--seed]/[--schedule]/[--crash-step] triple with a flight dump. *)
+    [--seed]/[--schedule]/[--crash-step] triple (plus [--tamper] when
+    one is armed) with a flight dump. *)
 
 val replay_crash :
   ?max_objects:int ->
@@ -168,7 +172,7 @@ val replay_crash :
   unit ->
   report
 (** Re-run exactly one crash case from its printed
-    [--seed]/[--schedule]/[--crash-step] reproducer line. *)
+    [--seed]/[--schedule]/[--crash-step]/[--tamper] reproducer line. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit

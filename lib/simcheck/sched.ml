@@ -9,8 +9,9 @@
     deterministic order, seed + heap spec fully determine the run —
     [--seed]/[--schedule] pairs replay exactly.
 
-    Seed 0 is reserved by convention for "no schedule" (the engine's
-    deterministic min-clock policy); {!Fuzz} maps it to [None]. *)
+    {!Fuzz} reserves seed 0: the differential campaign runs it with no
+    schedule (the engine's deterministic min-clock policy), the crash
+    campaign under the identity {!Nvmgc.Schedule.default}. *)
 
 let of_seed seed =
   let rng = Simstats.Prng.create seed in

@@ -1,10 +1,11 @@
 (** Seeded random schedules for the evacuation engine's scheduling seam. *)
 
 val of_seed : int -> Nvmgc.Schedule.t
-(** Expand a seed into a deterministic decision stream.  Seed 0 is
-    reserved by convention for "no schedule" (min-clock policy) and is
-    mapped to [None] by {!Fuzz}, but [of_seed 0] itself is still a valid
-    schedule.  The destructive decisions are never taken; wrap with
+(** Expand a seed into a deterministic decision stream.  {!Fuzz}
+    reserves seed 0: the differential campaign runs it with no schedule
+    (the min-clock policy), the crash campaign under
+    {!Nvmgc.Schedule.default}, since the crash seam only exists on the
+    scheduled engine.  [of_seed 0] itself is still a valid schedule.  The destructive decisions are never taken; wrap with
     {!with_crash} or {!with_tamper} to inject one. *)
 
 val with_crash : crash_step:int -> Nvmgc.Schedule.t -> Nvmgc.Schedule.t

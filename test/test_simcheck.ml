@@ -377,6 +377,51 @@ let test_crash_replay_reproduces () =
   check_bool "same crash step" true (rf.Fuzz.crash_step = f.Fuzz.crash_step);
   check_bool "same oracle messages" true (rf.Fuzz.messages = f.Fuzz.messages)
 
+(* The printed replay line is self-contained: run with exactly its flags
+   (the tamper included), it reproduces the failure and shrinks it to
+   the same messages. *)
+let test_crash_replay_line_self_contained () =
+  let r = Lazy.force tampered_report in
+  List.iter
+    (fun (f : Fuzz.failure) ->
+      let line =
+        Fuzz.failure_to_string f |> String.split_on_char '\n'
+        |> List.find (String.starts_with ~prefix:"replay:")
+      in
+      let rec flags = function
+        | flag :: value :: rest when String.starts_with ~prefix:"--" flag ->
+            (flag, value) :: flags rest
+        | _ :: rest -> flags rest
+        | [] -> []
+      in
+      let flags = flags (String.split_on_char ' ' line) in
+      let int flag = int_of_string (List.assoc flag flags) in
+      let tamper =
+        match List.assoc_opt "--tamper" flags with
+        | Some name -> List.assoc name Fuzz.tampers
+        | None -> Alcotest.failf "replay line lacks --tamper: %s" line
+      in
+      check_bool "the line spells the crash campaign" true
+        (List.mem_assoc "--crash-step" flags);
+      let rr =
+        Fuzz.replay_crash ~heap_seed:(int "--seed")
+          ~sched_seed:(int "--schedule") ~crash_step:(int "--crash-step")
+          ~tamper ()
+      in
+      match rr.Fuzz.failures with
+      | [ rf ] ->
+          Alcotest.(check (list string))
+            "same shrunk messages" f.Fuzz.shrunk_messages
+            rf.Fuzz.shrunk_messages;
+          Alcotest.(check string)
+            "the replay prints the same replay line" line
+            (Fuzz.failure_to_string rf |> String.split_on_char '\n'
+            |> List.find (String.starts_with ~prefix:"replay:"))
+      | fs ->
+          Alcotest.failf "replay of %S: %d failures, expected 1" line
+            (List.length fs))
+    r.Fuzz.failures
+
 let test_repro_file_no_clobber () =
   let r = Lazy.force tampered_report in
   let base = Filename.temp_file "nvmgc_crash_repro" ".txt" in
@@ -395,6 +440,58 @@ let test_repro_file_no_clobber () =
     (contains ~sub:"--crash-step" c1);
   Sys.remove p1;
   Sys.remove p2
+
+(* ------------------------------------------------------------------ *)
+(* Golden campaign reports: the driver and the shrinker pinned byte for
+   byte (MD5 of [report_to_string], replay lines excluded so the replay
+   command's spelling can evolve without touching the verdicts).  Green
+   differential and crash campaigns, a differential shrink with its
+   flight dump, and a crash shrink under a tamper.                      *)
+
+let report_digest r =
+  Fuzz.report_to_string r
+  |> String.split_on_char '\n'
+  |> List.filter (fun l ->
+         not (String.starts_with ~prefix:"replay:" (String.trim l)))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let unbind_one_ps_all name (inst : Spec.instance) =
+  if name = "ps-all" then begin
+    let unbound = ref false in
+    let try_unbind (o : Simheap.Objmodel.t) =
+      if
+        (not !unbound)
+        && Option.is_some (Simheap.Heap.lookup inst.Spec.heap o.addr)
+      then begin
+        Simheap.Heap.unbind inst.Spec.heap o.addr;
+        unbound := true
+      end
+    in
+    Array.iter try_unbind inst.Spec.holders;
+    Array.iter try_unbind inst.Spec.objects
+  end
+
+let test_golden_reports () =
+  List.iter
+    (fun (name, expected, campaign) ->
+      Alcotest.(check string) name expected (report_digest (campaign ())))
+    [
+      ( "fuzz 25 cases, seed 42",
+        "9a587216e82e9cbdd50546e6ed944d48",
+        fun () -> Fuzz.run ~cases:25 ~seed:42 () );
+      ( "crash 25 cases, seed 42",
+        "9ff8f89ac4eac5d610656ec97080e5e6",
+        fun () -> Fuzz.run_crash ~cases:25 ~seed:42 () );
+      ( "heap-corrupting fuzz 4 cases, seed 99",
+        "766d635d68fd31fc729c15c9ea685535",
+        fun () ->
+          Fuzz.run ~cases:4 ~seed:99
+            ~variants:[ "g1-baseline"; "ps-all" ]
+            ~tamper:unbind_one_ps_all () );
+      ( "drop-flush crash 3 cases, seed 7",
+        "ccd4689146b361631849499e77bd86b5",
+        fun () -> Lazy.force tampered_report );
+    ]
 
 let () =
   Alcotest.run "simcheck"
@@ -443,5 +540,9 @@ let () =
             test_crash_replay_reproduces;
           Alcotest.test_case "repro file never clobbered" `Quick
             test_repro_file_no_clobber;
+          Alcotest.test_case "replay line self-contained" `Quick
+            test_crash_replay_line_self_contained;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "campaign reports" `Quick test_golden_reports ] );
     ]
