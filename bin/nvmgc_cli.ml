@@ -24,20 +24,22 @@ let guarded f =
   | exception Nvmgc.Evacuation.Evacuation_failure msg ->
       `Error (false, "evacuation failure: " ^ msg)
 
+(* Counts below 1 are usage errors (cmdliner's exit 124 with a message),
+   not failures deep inside the simulator. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let options_term =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
   let threads =
-    let positive_int =
-      let parse s =
-        match Arg.conv_parser Arg.int s with
-        | Ok n when n >= 1 -> Ok n
-        | Ok n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
     Arg.(
       value & opt positive_int 28
       & info [ "threads"; "t" ] ~docv:"N" ~doc:"Default GC thread count.")
@@ -322,7 +324,7 @@ let fuzz_cmd =
   in
   let max_objects =
     Arg.(
-      value & opt int 40
+      value & opt positive_int 40
       & info [ "max-objects" ] ~docv:"N"
           ~doc:"Upper bound on objects per generated heap.")
   in

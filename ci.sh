@@ -122,8 +122,10 @@ fi
 # correctness checks.  Besides the fig5 digest gated above, this pins
 # the sweep-arrays digest (heavy multi-line LLC runs and dirty
 # evictions) and the fuzz-campaign digest (fuzz and crash verdicts,
-# including the crash model's dirty-line residency queries).
+# including the crash model's dirty-line residency queries).  All four
+# digests must also hold in the inlined release build.
 dune build @bench/ledger/ledger-smoke
+dune build --profile release @bench/ledger/ledger-smoke
 
 # Multicore engine smoke: the whole figure/table sweep driven through the
 # work-stealing domain pool (`--jobs`).  Output is byte-identical at any

@@ -190,8 +190,11 @@ let llc t = t.llc
 let set_cause t cause = t.cause <- cause
 let current_cause t = t.cause
 
+(* Starts small, as crash runs use tiny heaps; the set grows with the lines
+   actually written.  Only [replace] and [mem] touch it, so its bucket
+   order cannot reach results. *)
 let set_durability_tracking t on =
-  t.durability <- (if on then Some (Hashtbl.create 4096) else None)
+  t.durability <- (if on then Some (Hashtbl.create 64) else None)
 
 let durability_tracking t = t.durability <> None
 

@@ -8,8 +8,9 @@
 
     - keys are heap addresses: strictly positive ints, so [0] can mark an
       empty slot and [-1] a tombstone;
-    - multiplicative hashing + linear probing over a power-of-two array —
-      no per-probe allocation, no runtime hash call;
+    - multiplicative hashing (high half folded into the index) + linear
+      probing over a power-of-two array that starts small and doubles
+      with the heap — no per-probe allocation, no runtime hash call;
     - [find] returns the probe index (or [-1]) so callers can fetch the
       value without materializing an option.
 
@@ -28,11 +29,20 @@ type t = {
 let empty_key = 0
 let tombstone = -1
 
-(* Knuth multiplicative hash; addresses are 8-byte aligned so the low bits
-   alone would collide systematically. *)
-let slot_of mask addr = addr * 0x9E3779B1 land max_int land mask
+(* Multiplicative hash with the product's high half folded into the index.
+   The low bits of a product depend only on the low bits of its factors, so
+   masking [addr * k] alone would send every 8-byte-aligned address to one
+   slot in eight, and every object at the same in-region offset to the same
+   home slot: clusters that make linear-probe chains grow with the heap.
+   Folding in [h lsr 32] lets every address bit reach the index. *)
+let slot_of mask addr =
+  let h = addr * 0x1E3779B97F4A7C15 in
+  (h lxor (h lsr 32)) land mask
 
-let initial_capacity = 4096
+(* Small, so a table costs what its heap holds: the fill rule in [insert]
+   doubles it as objects arrive, and the verifier's full-table walks
+   ({!iter}) stay proportional to the heap rather than to the largest one. *)
+let initial_capacity = 64
 
 let create () =
   {
@@ -58,6 +68,10 @@ let rec find_from (keys : int array) mask (addr : int) i =
 let find t addr = find_from t.keys t.mask addr (slot_of t.mask addr)
 
 let value t i = t.vals.(i)
+
+let probe_distance t addr =
+  let i = find t addr in
+  if i < 0 then -1 else (i - slot_of t.mask addr) land t.mask
 
 (* First tombstone seen is reusable, but only if [addr] turns out to be
    absent — [grave] carries its index through the probe. *)

@@ -14,6 +14,10 @@ val find : t -> int -> int
 val value : t -> int -> Objmodel.t
 (** Value at a probe index returned by {!find}. *)
 
+val probe_distance : t -> int -> int
+(** Slots between a bound address and its home slot ([0] when it sits
+    there), or [-1] when unbound.  A diagnostic of hash quality. *)
+
 val insert : t -> int -> Objmodel.t -> unit
 (** Bind (or rebind) an address. *)
 

@@ -197,7 +197,7 @@ let obj_for addr = O.make ~id:addr ~addr ~size:32 ~fields:[||]
    The [heavy] variant multiplies every key by a power-of-two stride so
    all of them hash into the same probe neighbourhood: the adversarial
    case for linear probing with tombstones. *)
-let addr_table_agreement ~stride (ops : (int * int) list) =
+let apply_ops ~stride (ops : (int * int) list) =
   let t = AT.create () and model = Hashtbl.create 16 in
   List.iter
     (fun (op, k) ->
@@ -211,6 +211,10 @@ let addr_table_agreement ~stride (ops : (int * int) list) =
         Hashtbl.remove model key
       end)
     ops;
+  (t, model)
+
+let addr_table_agreement ~stride ops =
+  let t, model = apply_ops ~stride ops in
   AT.length t = Hashtbl.length model
   &&
   let ok = ref true in
@@ -237,8 +241,8 @@ let test_addr_table_collisions =
 
 (* find is deterministic between mutations, and bindings inserted before
    a growth rehash stay reachable (at possibly relocated indices)
-   afterwards.  8192 extra keys force at least one capacity doubling
-   from the initial 4096 slots. *)
+   afterwards.  8192 extra keys force several capacity doublings from
+   the initial slots. *)
 let test_addr_table_growth =
   QCheck2.Test.make ~name:"bindings survive growth rehash" ~count:20
     QCheck2.Gen.(int_range 1 64)
@@ -257,6 +261,57 @@ let test_addr_table_growth =
              let i = AT.find t k in
              i >= 0 && (AT.value t i).O.id = k)
            keys)
+
+(* [iter] visits every bound key exactly once, with its value, and
+   nothing else (no empty slot, no tombstone) — the verifier's table walks
+   rely on it.  Runs over both key universes, so through growth and
+   tombstone rebuilds. *)
+let addr_table_iter_exact ~stride ops =
+  let t, model = apply_ops ~stride ops in
+  let seen = Hashtbl.create 16 and ok = ref true in
+  AT.iter
+    (fun k o ->
+      if Hashtbl.mem seen k || (not (Hashtbl.mem model k)) || o.O.id <> k then
+        ok := false;
+      Hashtbl.replace seen k ())
+    t;
+  !ok && Hashtbl.length seen = Hashtbl.length model
+
+let test_addr_table_iter =
+  QCheck2.Test.make ~name:"iter visits each binding once" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 200) op_gen)
+    (addr_table_iter_exact ~stride:1)
+
+let test_addr_table_iter_collisions =
+  QCheck2.Test.make ~name:"iter exact under collision-heavy keys" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 200) op_gen)
+    (addr_table_iter_exact ~stride:4096)
+
+(* Hash quality on a regular heap layout: 48 regions of 8 KiB from the
+   heap base, each holding 64 objects of 128 B.  Aligned addresses at the
+   same in-region offset must not share a probe neighbourhood; a hash
+   whose index ignores the high address bits clusters them and the mean
+   probe distance grows with the heap (tens of slots here). *)
+let test_addr_table_probe_distance () =
+  let t = AT.create () and keys = ref [] in
+  for r = 0 to 47 do
+    for o = 0 to 63 do
+      let k = Simheap.Layout.heap_base + (r * 8192) + (o * 128) in
+      AT.insert t k (obj_for k);
+      keys := k :: !keys
+    done
+  done;
+  let total =
+    List.fold_left
+      (fun acc k ->
+        let d = AT.probe_distance t k in
+        check_bool "bound" true (d >= 0);
+        acc + d)
+      0 !keys
+  in
+  let mean = float_of_int total /. float_of_int (List.length !keys) in
+  if mean > 4.0 then Alcotest.failf "mean probe distance %.2f > 4" mean;
+  check_int "unbound" (-1) (AT.probe_distance t 8)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -289,5 +344,9 @@ let () =
           qc test_addr_table_model;
           qc test_addr_table_collisions;
           qc test_addr_table_growth;
+          qc test_addr_table_iter;
+          qc test_addr_table_iter_collisions;
+          Alcotest.test_case "probe distance on a regular heap" `Quick
+            test_addr_table_probe_distance;
         ] );
     ]
