@@ -22,17 +22,26 @@ dune build @crash
 
 # Both campaigns are pure functions of --seed at any --jobs.  80 cases
 # clear Fuzz.effective_jobs' serial threshold (25 would not), so the
-# --jobs 8 leg really dispatches through the domain pool.
+# --jobs 8 leg really dispatches through the domain pool.  Each domain
+# reuses one memory model across its variant runs (Memory.reset), so
+# every domain's memory carries a different history: the release
+# --jobs 8 leg is the comparison that would expose a reset leaking state
+# in the inlined build.
 for campaign in "" "--crash"; do
   dune exec bin/nvmgc_cli.exe -- fuzz $campaign --cases 80 --seed 42 \
     --jobs 1 > "$tmp/fuzz.j1"
   dune exec bin/nvmgc_cli.exe -- fuzz $campaign --cases 80 --seed 42 \
     --jobs 8 > "$tmp/fuzz.j8"
-  if ! cmp -s "$tmp/fuzz.j1" "$tmp/fuzz.j8"; then
-    echo "ci: fuzz ${campaign:-differential} report differs at --jobs 1/8" >&2
-    diff "$tmp/fuzz.j1" "$tmp/fuzz.j8" | head -n 20 >&2 || true
-    exit 1
-  fi
+  dune exec --profile release bin/nvmgc_cli.exe -- fuzz $campaign \
+    --cases 80 --seed 42 --jobs 8 > "$tmp/fuzz.rel.j8"
+  for other in j8 rel.j8; do
+    if ! cmp -s "$tmp/fuzz.j1" "$tmp/fuzz.$other"; then
+      echo "ci: fuzz ${campaign:-differential} report differs:" \
+        "dev --jobs 1 vs $other" >&2
+      diff "$tmp/fuzz.j1" "$tmp/fuzz.$other" | head -n 20 >&2 || true
+      exit 1
+    fi
+  done
 done
 
 # The crash oracle's mutation table: each flush-protocol violation the

@@ -32,14 +32,15 @@ let line_bytes = 64
      LRU choice is always unique).  Padding ways past [ways] are never
      read.
    - [meta]: one [1 lsl mshift]-word block per set (8 words = one 64-byte
-     cache line up to 21 ways) holding, at the [m_*] offsets below:
+     cache line up to 14 ways) holding, at the [m_*] offsets below:
      the way hint (way of the most recent hit/install, checked before
      the fingerprint scan — a line is resident in at most one way, so
      the hint can only short-circuit to the same answer), the
      [prefetched] / [dirty] / [nvm] / [seqw] way bitmasks ([nvm]: the
      line belongs to the NVM space; [seqw]: it was dirtied by a
-     sequential write, so its write-back drains at the sequential rate),
-     then the packed fingerprint words.
+     sequential write, so its write-back drains at the sequential rate;
+     one bit per way in a native int, hence at most 63 ways), the
+     touched flag (see {!reset}), then the packed fingerprint words.
 
    Fingerprints: an 8-bit hash of each resident line, 7 ways per native
    int in 9-bit lanes; an absent way's lane holds 0x100, which no 8-bit
@@ -53,7 +54,8 @@ let m_prefetched = 1
 let m_dirty = 2
 let m_nvm = 3
 let m_seqw = 4
-let m_fps = 5
+let m_touched = 5
+let m_fps = 6
 
 type t = {
   nsets : int;
@@ -65,6 +67,11 @@ type t = {
   tags : int array;
   stamp : int array;
   meta : int array;
+  touched : int array;
+      (** indices of the sets filled since creation or the last {!reset},
+          in first-fill order; a set is listed once, guarded by its
+          [m_touched] flag *)
+  mutable n_touched : int;
   mutable tick : int;  (** monotone touch counter feeding [stamp] *)
   (* Write-back buffer: dirty evictions produced by {!access_run} and
      {!prefetch_q} accumulate here, so a whole contiguous N-line run can
@@ -103,8 +110,23 @@ let log2_ceil n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
 
+let max_ways = 63
+
+(* Initial state of set [s]: no line resident, distinct negative stamps,
+   zero hint, masks and touched flag, every fingerprint lane absent. *)
+let init_set ~ways ~wshift ~mshift ~fp_words tags stamp meta s =
+  let tb = s lsl wshift and mb = s lsl mshift in
+  Array.fill tags tb ways (-1);
+  for i = 0 to ways - 1 do
+    stamp.(tb + i) <- -i
+  done;
+  Array.fill meta mb m_fps 0;
+  Array.fill meta (mb + m_fps) fp_words fp_absent_word
+
 let create ~capacity_bytes ~ways =
-  let ways = max 1 ways in
+  if ways < 1 || ways > max_ways then
+    invalid_arg
+      (Printf.sprintf "Llc.create: ways = %d, must be in 1..%d" ways max_ways);
   let lines = max ways (capacity_bytes / line_bytes) in
   let nsets_raw = max 1 (lines / ways) in
   (* round set count down to a power of two for cheap indexing *)
@@ -112,14 +134,11 @@ let create ~capacity_bytes ~ways =
   let nsets = pow2 1 in
   let fp_words = (ways + fp_lanes - 1) / fp_lanes in
   let wshift = log2_ceil ways and mshift = log2_ceil (m_fps + fp_words) in
+  let tags = Array.make (nsets lsl wshift) (-1) in
   let stamp = Array.make (nsets lsl wshift) 0 in
   let meta = Array.make (nsets lsl mshift) 0 in
   for s = 0 to nsets - 1 do
-    let tb = s lsl wshift and mb = s lsl mshift in
-    for i = 0 to ways - 1 do
-      stamp.(tb + i) <- -i
-    done;
-    Array.fill meta (mb + m_fps) fp_words fp_absent_word
+    init_set ~ways ~wshift ~mshift ~fp_words tags stamp meta s
   done;
   {
     nsets;
@@ -128,9 +147,11 @@ let create ~capacity_bytes ~ways =
     wshift;
     mshift;
     fp_words;
-    tags = Array.make (nsets lsl wshift) (-1);
+    tags;
     stamp;
     meta;
+    touched = Array.make nsets 0;
+    n_touched = 0;
     tick = 1;
     run_wb = Array.make 64 0;
     run_wb_len = 0;
@@ -236,17 +257,27 @@ let run_wb_push t entry =
   t.run_wb.(n) <- entry;
   t.run_wb_len <- n + 1
 
-(* Install [line] in the set at [tb]/[mb], evicting the LRU way.  Returns
+(* List set [s] (block at [mb]) for {!reset}.  Called once per set: the
+   first time an install fills one of its empty ways. *)
+let note_touched t s ~mb =
+  t.meta.(mb + m_touched) <- 1;
+  t.touched.(t.n_touched) <- s;
+  t.n_touched <- t.n_touched + 1
+
+(* Install [line] in set [s] at [tb]/[mb], evicting the LRU way.  Returns
    the way used; a dirty eviction is appended to the write-back
    buffer. *)
-let install t ~tb ~mb line ~fp ~write ~seq ~nvm =
+let install t s ~tb ~mb line ~fp ~write ~seq ~nvm =
   let meta = t.meta and tags = t.tags in
   let way = victim_loop t.stamp tb t.ways 1 0 in
   let bit = 1 lsl way in
   let dirty = meta.(mb + m_dirty) and seqw = meta.(mb + m_seqw) in
   let nvm_mask = meta.(mb + m_nvm) in
   let old = tags.(tb + way) in
-  if dirty land bit <> 0 && old >= 0 then begin
+  if old < 0 then begin
+    if meta.(mb + m_touched) = 0 then note_touched t s ~mb
+  end
+  else if dirty land bit <> 0 then begin
     t.writebacks <- t.writebacks + 1;
     run_wb_push t
       ((if nvm_mask land bit <> 0 then 1 else 0)
@@ -293,7 +324,7 @@ let[@inline] run_line t h line ~write ~seq ~nvm =
   end
   else begin
     t.misses <- t.misses + 1;
-    ignore (install t ~tb ~mb line ~fp ~write ~seq ~nvm : int);
+    ignore (install t s ~tb ~mb line ~fp ~write ~seq ~nvm : int);
     Miss
   end
 
@@ -344,7 +375,7 @@ let prefetch_q t addr ~nvm =
      (prefetching a resident line costs nothing extra). *)
   let fetched = way < 0 in
   let way =
-    if fetched then install t ~tb ~mb line ~fp ~write:false ~seq:false ~nvm
+    if fetched then install t s ~tb ~mb line ~fp ~write:false ~seq:false ~nvm
     else way
   in
   t.meta.(mb + m_prefetched) <- t.meta.(mb + m_prefetched) lor (1 lsl way);
@@ -363,16 +394,25 @@ let line_dirty t addr =
   let way = fp_probe t ~tb ~mb line ~fp:(fp_of_hash h) in
   way >= 0 && t.meta.(mb + m_dirty) land (1 lsl way) <> 0
 
-(** Invalidate everything (used between independent simulation phases);
-    dirty contents are discarded, not written back.  Way hints and LRU
-    stamps are kept. *)
-let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  for s = 0 to t.nsets - 1 do
-    let mb = s lsl t.mshift in
-    Array.fill t.meta (mb + m_prefetched) (m_fps - m_prefetched) 0;
-    Array.fill t.meta (mb + m_fps) t.fp_words fp_absent_word
-  done
+(* Only [install] moves a set out of its initial state: a probe of a
+   pristine set finds nothing and mutates nothing (the hint confirms
+   against a [-1] tag, [touch] follows only a hit), and a hit needs an
+   installed way.  So re-initialising the sets [install] listed restores
+   the whole cache, in time proportional to the sets used, with no check
+   on the probe path. *)
+let reset t =
+  for k = 0 to t.n_touched - 1 do
+    init_set ~ways:t.ways ~wshift:t.wshift ~mshift:t.mshift
+      ~fp_words:t.fp_words t.tags t.stamp t.meta t.touched.(k)
+  done;
+  t.n_touched <- 0;
+  t.tick <- 1;
+  t.run_wb_len <- 0;
+  t.hits <- 0;
+  t.misses <- 0;
+  t.prefetch_hits <- 0;
+  t.prefetch_issued <- 0;
+  t.writebacks <- 0
 
 let hits t = t.hits
 let misses t = t.misses

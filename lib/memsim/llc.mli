@@ -10,9 +10,14 @@ type outcome = Hit | Miss | Prefetched_hit
 val create : capacity_bytes:int -> ways:int -> t
 (** Set count is rounded down to a power of two.  Makes a constant
     number of allocations whatever the set count: the state of all sets
-    lives in three flat int arrays (tags, LRU stamps, and a metadata
-    block per set — 8 words, one cache line, up to 21 ways), so a large cache costs a few major-heap
-    blocks rather than several small blocks per set. *)
+    lives in flat int arrays (tags, LRU stamps, a metadata block per set
+    — 8 words, one cache line, up to 14 ways — and the touched-set list
+    {!reset} walks), so a large cache costs a few major-heap blocks
+    rather than several small blocks per set.
+
+    @raise Invalid_argument unless [1 <= ways <= 63]: each set keeps its
+    per-way dirty, prefetched and write-back flags as bits of one native
+    int. *)
 
 val capacity_bytes : t -> int
 
@@ -45,7 +50,12 @@ val line_dirty : t -> int -> bool
     and dirty (its latest bytes live only in the cache).  Touches no LRU
     state — safe to call without perturbing the simulation. *)
 
-val clear : t -> unit
+val reset : t -> unit
+(** Return the cache to the state {!create} left it in: no line resident,
+    LRU order, way hints, write-back buffer and counters as new, so no
+    query can tell the two apart.  Dirty lines are discarded, not written
+    back.  Costs time proportional to the sets filled since creation or
+    the previous reset, and allocates nothing. *)
 
 val hits : t -> int
 val misses : t -> int

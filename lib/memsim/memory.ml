@@ -57,12 +57,7 @@ type mix = {
   mutable last_ns : float;
 }
 
-type totals = {
-  mutable read_bytes : float;
-  mutable write_bytes : float;
-  mutable read_ns : float;
-  mutable write_ns : float;
-}
+type totals = { mutable read_bytes : float; mutable write_bytes : float }
 
 type t = {
   config : config;
@@ -168,7 +163,7 @@ let create config =
           });
     totals =
       Array.init 2 (fun _ ->
-          { read_bytes = 0.0; write_bytes = 0.0; read_ns = 0.0; write_ns = 0.0 });
+          { read_bytes = 0.0; write_bytes = 0.0 });
     pipe_credit_ns = Array.make 2 pipe_burst_ns;
     pipe_last_ns = Array.make 2 0.0;
     pipe_service_ns = Array.make 2 0.0;
@@ -184,6 +179,34 @@ let create config =
     cause = Nvmtrace.Recorder.Mutator;
     durability = None;
   }
+
+(* Everything [create] initialises, restored in place: no allocation, and
+   the LLC part costs only the sets the previous run filled. *)
+let reset t =
+  Llc.reset t.llc;
+  Array.iter
+    (fun m ->
+      m.read_rand <- 0.0;
+      m.read_seq <- 0.0;
+      m.write_rand <- 0.0;
+      m.write_seq <- 0.0;
+      m.last_ns <- 0.0)
+    t.mixes;
+  Array.iter
+    (fun tot ->
+      tot.read_bytes <- 0.0;
+      tot.write_bytes <- 0.0)
+    t.totals;
+  Array.fill t.pipe_credit_ns 0 2 pipe_burst_ns;
+  Array.fill t.pipe_last_ns 0 2 0.0;
+  Array.fill t.pipe_service_ns 0 2 0.0;
+  Array.fill t.pipe_wait_ns 0 2 0.0;
+  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.0) t.service_by_class;
+  Array.iter Simstats.Timeseries.clear t.trace_read;
+  Array.iter Simstats.Timeseries.clear t.trace_write;
+  t.dur.(0) <- 0.0;
+  t.cause <- Nvmtrace.Recorder.Mutator;
+  t.durability <- None
 
 let llc t = t.llc
 
@@ -445,14 +468,8 @@ let access_run_into ?(force_device = false) t ~now_ns ~addr ~space ~kind
   let idx = space_index space in
   let tot = t.totals.(idx) in
   let b = float_of_int bytes in
-  if is_write then begin
-    tot.write_bytes <- tot.write_bytes +. b;
-    tot.write_ns <- tot.write_ns +. duration
-  end
-  else begin
-    tot.read_bytes <- tot.read_bytes +. b;
-    tot.read_ns <- tot.read_ns +. duration
-  end;
+  if is_write then tot.write_bytes <- tot.write_bytes +. b
+  else tot.read_bytes <- tot.read_bytes +. b;
   if t.config.trace_enabled then begin
     let series = if is_write then t.trace_write.(idx) else t.trace_read.(idx) in
     Simstats.Timeseries.add_spread series ~from_ns:now_ns

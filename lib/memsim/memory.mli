@@ -20,6 +20,16 @@ val default_config : config
 type t
 
 val create : config -> t
+
+val reset : t -> unit
+(** Return the memory to a state no query can tell apart from
+    [create] of its config: LLC ({!Llc.reset}), traffic mixes, totals,
+    device pipes, traces, last duration, attribution cause ([Mutator])
+    and durability tracking (disarmed).  Allocates nothing, and its cost
+    grows with the LLC sets the memory has filled, not with the LLC's
+    size — so a run on a tiny heap can reuse one memory instead of
+    building a new one. *)
+
 val llc : t -> Llc.t
 val device : t -> Access.space -> Device.t
 

@@ -156,15 +156,33 @@ let crash_schedule tamper sched_seed =
   in
   match tamper with None -> base | Some k -> Sched.with_tamper k base
 
+(* One memory model per domain, reused through [Memory.reset]: a fresh
+   [create] allocates the whole default LLC (about 20k words straight
+   into the major heap) for a heap of a few dozen objects.  A run takes
+   the memory out of the slot and puts it back only when it returns
+   normally, so a nested run or one that raised falls back to [create],
+   and two runs never share a memory. *)
+let pooled_memory : Memsim.Memory.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let take_memory () =
+  match Domain.DLS.get pooled_memory with
+  | None -> Memsim.Memory.create Memsim.Memory.default_config
+  | Some m ->
+      Domain.DLS.set pooled_memory None;
+      Memsim.Memory.reset m;
+      m
+
 (* The one execution primitive: instantiate [spec] on a fresh heap,
    collect once under [v] (verification hooks armed) and map verifier,
    oracle and evacuation failures to messages.  With [crash_step], the
    pause is killed at that crash point with durability tracking armed,
    and the frozen heap + NVM image is held to the {!Recovery}
-   obligations.  [Ok None]: the crash was recoverable. *)
+   obligations.  [Ok None]: the crash was recoverable.  The memory
+   model stays inside: the result carries no reference to it. *)
 let execute ?schedule ?crash_step ~spec ~threads (v : variant) =
   let inst = Spec.instantiate spec in
-  let memory = Memsim.Memory.create Memsim.Memory.default_config in
+  let memory = take_memory () in
   let schedule, pre =
     match crash_step with
     | None -> (schedule, None)
@@ -177,22 +195,26 @@ let execute ?schedule ?crash_step ~spec ~threads (v : variant) =
     Nvmgc.Young_gc.create ?schedule ~heap:inst.Spec.heap ~memory
       (v.make ~threads)
   in
-  match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
-  | pause -> Ok (Some (inst, pause))
-  | exception Nvmgc.Evacuation.Crashed st -> (
-      match
-        Recovery.check ~pre:(Option.get pre) ~heap:inst.Spec.heap ~memory st
-      with
-      | [] -> Ok None
-      | msgs ->
-          Error
-            (Printf.sprintf "unrecoverable crash at step %d under %s:"
-               st.Nvmgc.Evacuation.crash_step v.name
-            :: msgs))
-  | exception Verify.Hooks.Verification_failure (desc, msgs) ->
-      Error (Printf.sprintf "verification failure under %s" desc :: msgs)
-  | exception Nvmgc.Evacuation.Evacuation_failure msg ->
-      Error [ "evacuation failure: " ^ msg ]
+  let result =
+    match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
+    | pause -> Ok (Some (inst, pause))
+    | exception Nvmgc.Evacuation.Crashed st -> (
+        match
+          Recovery.check ~pre:(Option.get pre) ~heap:inst.Spec.heap ~memory st
+        with
+        | [] -> Ok None
+        | msgs ->
+            Error
+              (Printf.sprintf "unrecoverable crash at step %d under %s:"
+                 st.Nvmgc.Evacuation.crash_step v.name
+              :: msgs))
+    | exception Verify.Hooks.Verification_failure (desc, msgs) ->
+        Error (Printf.sprintf "verification failure under %s" desc :: msgs)
+    | exception Nvmgc.Evacuation.Evacuation_failure msg ->
+        Error [ "evacuation failure: " ^ msg ]
+  in
+  Domain.DLS.set pooled_memory (Some memory);
+  result
 
 let run_variant ?tamper ~spec ~threads ~sched_seed (v : variant) =
   let schedule =

@@ -17,6 +17,8 @@ let create ~bucket_ns =
 
 let bucket_ns t = t.bucket_ns
 
+let clear t = Vec.clear t.buckets
+
 let bucket_of t time_ns = int_of_float (time_ns /. t.bucket_ns)
 
 let ensure t idx =

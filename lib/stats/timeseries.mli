@@ -5,6 +5,9 @@ type t
 val create : bucket_ns:float -> t
 val bucket_ns : t -> float
 
+val clear : t -> unit
+(** Empty the series in place, keeping its bucket width and storage. *)
+
 val add : t -> time_ns:float -> float -> unit
 (** Add a value to the bucket containing the given instant. *)
 

@@ -151,10 +151,37 @@ let test_llc_capacity_rounding () =
 let test_llc_clear () =
   let llc = Memsim.Llc.create ~capacity_bytes:(64 * 1024) ~ways:8 in
   ignore (llc_access ~write:true llc 0);
-  Memsim.Llc.clear llc;
+  Memsim.Llc.reset llc;
   let o = llc_access llc 0 in
-  check_bool "cleared: miss again, no stale dirty write-back" true
+  check_bool "reset: miss again, no stale dirty write-back" true
     (o = Memsim.Llc.Miss && Memsim.Llc.run_wb_count llc = 0)
+
+(* The per-way flags are bits of a native int, so a set holds at most 63
+   ways.  A 63-way set keeps every dirty line; wider caches are refused
+   rather than silently dropping write-backs. *)
+let test_llc_way_bound () =
+  let rejects ways =
+    match Memsim.Llc.create ~capacity_bytes:(64 * 64) ~ways with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "0 ways rejected" true (rejects 0);
+  check_bool "64 ways rejected" true (rejects 64);
+  let llc = Memsim.Llc.create ~capacity_bytes:(63 * 64) ~ways:63 in
+  Alcotest.(check int) "one set" (63 * 64) (Memsim.Llc.capacity_bytes llc);
+  for i = 0 to 62 do
+    ignore (llc_access ~write:true llc (i * 64))
+  done;
+  let dirty = ref 0 in
+  for i = 0 to 62 do
+    if Memsim.Llc.line_dirty llc (i * 64) then incr dirty
+  done;
+  Alcotest.(check int) "63/63 lines dirty" 63 !dirty;
+  for i = 63 to 125 do
+    ignore (llc_access llc (i * 64))
+  done;
+  Alcotest.(check int) "every dirty line written back" 63
+    (Memsim.Llc.writebacks llc)
 
 let test_llc_capacity_behaviour () =
   let llc = Memsim.Llc.create ~capacity_bytes:(16 * 1024) ~ways:8 in
@@ -284,14 +311,14 @@ type llc_op =
   | Run of { line : int; lines : int; write : bool; seq : bool; nvm : bool }
   | Prefetch of { line : int; nvm : bool }
   | Dirty of int
-  | Clear
+  | Reset
 
 let show_llc_op = function
   | Run { line; lines; write; seq; nvm } ->
       Printf.sprintf "run(%d,%d,w=%b,s=%b,n=%b)" line lines write seq nvm
   | Prefetch { line; nvm } -> Printf.sprintf "prefetch(%d,n=%b)" line nvm
   | Dirty line -> Printf.sprintf "dirty(%d)" line
-  | Clear -> "clear"
+  | Reset -> "reset"
 
 let gen_llc_op ~span =
   let open QCheck2.Gen in
@@ -305,7 +332,7 @@ let gen_llc_op ~span =
           (triple line (int_range 1 8) (triple bool bool bool)) );
       (3, map2 (fun line nvm -> Prefetch { line; nvm }) line bool);
       (3, map (fun l -> Dirty l) line);
-      (1, pure Clear);
+      (1, pure Reset);
     ]
 
 let prop_llc_matches_reference =
@@ -348,10 +375,15 @@ let prop_llc_matches_reference =
             fetched = fetched' && run_wbs () = Option.to_list wb
         | Dirty line ->
             Memsim.Llc.line_dirty llc ((line * 64) + 63) = ref_line_dirty r line
-        | Clear ->
-            Memsim.Llc.clear llc;
+        | Reset ->
+            Memsim.Llc.reset llc;
             Array.fill r.r_sets 0 nsets [];
-            true
+            r.r_hits <- 0;
+            r.r_misses <- 0;
+            r.r_pf_hits <- 0;
+            r.r_pf_issued <- 0;
+            r.r_wbs <- 0;
+            run_wbs () = []
       in
       Memsim.Llc.capacity_bytes llc = nsets * ways * 64
       && List.for_all
@@ -641,6 +673,260 @@ let prop_recorder_cause_totals_exact =
           && bits (sum ~nvm:true ~write:true)
              = bits d.Memsim.Memory.nvm_write_bytes))
 
+(* A reset memory is a fresh memory.  Memory A runs one to three random
+   prefixes, each followed by a reset; memory B comes straight from
+   [create].  Both then run the
+   same random suffix, and after every step they must agree exactly on
+   everything a caller can read: the last duration (bitwise), byte
+   totals, pipe and per-class service time, LLC counters, the traces,
+   the attribution cause, durability tracking and its undurable lines,
+   and, with the recorder installed, every per-cause total.  The LLC has
+   1-4 sets of 1-8 ways, so evictions and dirty write-backs happen, and
+   trace buckets are 500 ns wide, so charges spread over several. *)
+type mem_op =
+  | M_access of {
+      dt : int;
+      line : int;
+      off : int;
+      lines : int;
+      space : A.space;
+      kind : A.kind;
+      pattern : A.pattern;
+      force : bool;
+    }
+  | M_prefetch of { dt : int; line : int; space : A.space }
+  | M_background of {
+      dt : int;
+      len : int;
+      space : A.space;
+      read : float;
+      write : float;
+    }
+  | M_cause of int
+  | M_arm
+  | M_undurable of { line : int; lines : int }
+
+let show_space = function A.Dram -> "dram" | A.Nvm -> "nvm"
+
+let show_mem_op = function
+  | M_access { dt; line; off; lines; space; kind; pattern; force } ->
+      Printf.sprintf "access(+%d,%d+%d,%d,%s,%s,%s%s)" dt line off lines
+        (show_space space)
+        (match kind with A.Read -> "r" | A.Write -> "w" | A.Nt_write -> "nt")
+        (match pattern with A.Random -> "rand" | A.Sequential -> "seq")
+        (if force then ",force" else "")
+  | M_prefetch { dt; line; space } ->
+      Printf.sprintf "prefetch(+%d,%d,%s)" dt line (show_space space)
+  | M_background { dt; len; space; read; write } ->
+      Printf.sprintf "background(+%d,%d,%s,%g,%g)" dt len (show_space space)
+        read write
+  | M_cause c -> Printf.sprintf "cause(%d)" c
+  | M_arm -> "arm"
+  | M_undurable { line; lines } -> Printf.sprintf "undurable(%d,%d)" line lines
+
+let gen_mem_op ~span =
+  let open QCheck2.Gen in
+  (* Mostly back-to-back charges and some long runs, so the device pipes
+     build a backlog and queueing waits show in durations and pipe_stats. *)
+  let dt =
+    frequency [ (20, pure 0); (2, int_range 1 100); (1, int_range 0 3000) ]
+  and line = int_range 0 span
+  and lines =
+    frequency [ (6, int_range 1 8); (2, int_range 9 64); (1, int_range 65 512) ]
+  in
+  let space = map (fun b -> if b then A.Nvm else A.Dram) bool in
+  frequency
+    [
+      ( 12,
+        map
+          (fun ((dt, line, off, lines), (space, kind, pattern, force)) ->
+            M_access { dt; line; off; lines; space; kind; pattern; force })
+          (pair
+             (quad dt line (int_range 0 63) lines)
+             (quad space
+                (oneofl [ A.Read; A.Write; A.Nt_write ])
+                (oneofl [ A.Random; A.Sequential ])
+                (frequency [ (4, pure false); (1, pure true) ]))) );
+      ( 3,
+        map3 (fun dt line space -> M_prefetch { dt; line; space }) dt line space
+      );
+      ( 2,
+        map
+          (fun (dt, len, space, (r, w)) ->
+            M_background
+              {
+                dt;
+                len;
+                space;
+                read = float_of_int r *. 1.5;
+                write = float_of_int w *. 0.75;
+              })
+          (quad dt (int_range 0 5000) space
+             (pair (int_range 0 4096) (int_range 0 4096))) );
+      (1, map (fun c -> M_cause c) (int_range 0 100));
+      (1, pure M_arm);
+      ( 2,
+        map2 (fun line lines -> M_undurable { line; lines }) line
+          (int_range 1 16) );
+    ]
+
+let prop_reset_is_fresh =
+  QCheck2.Test.make ~name:"a reset memory is a fresh memory" ~count:200
+    ~print:(fun (ways, nsets, recorder, (prefixes, suffix)) ->
+      let show ops = "[" ^ String.concat "; " (List.map show_mem_op ops) ^ "]" in
+      Printf.sprintf "ways=%d nsets=%d recorder=%b prefixes=%s suffix=%s"
+        ways nsets recorder
+        (String.concat " reset " (List.map show prefixes))
+        (show suffix))
+    QCheck2.Gen.(
+      int_range 1 8 >>= fun ways ->
+      int_range 0 2 >>= fun k ->
+      let nsets = 1 lsl k in
+      let ops = list_size (int_range 0 60) (gen_mem_op ~span:(4 * ways * nsets)) in
+      map
+        (fun (recorder, prefix_suffix) -> (ways, nsets, recorder, prefix_suffix))
+        (pair bool (pair (list_size (int_range 1 3) ops) ops)))
+    (fun (ways, nsets, with_recorder, (prefixes, suffix)) ->
+      let config =
+        {
+          Memsim.Memory.default_config with
+          llc_capacity_bytes = nsets * ways * 64;
+          llc_ways = ways;
+          trace_enabled = true;
+          trace_bucket_ns = 500.0;
+        }
+      in
+      let causes = Nvmtrace.Recorder.all_causes in
+      let recorder () =
+        if with_recorder then Some (Nvmtrace.Recorder.create ()) else None
+      in
+      (* Run one op at the clock [now]; returns the undurable lines a
+         query reported ([] for every other op). *)
+      let step m r now op =
+        Nvmtrace.Hooks.set_recorder r;
+        match op with
+        | M_access { dt; line; off; lines; space; kind; pattern; force } ->
+            now := !now +. float_of_int dt;
+            Memsim.Memory.access_run_into ~force_device:force m ~now_ns:!now
+              ~addr:((line * 64) + off) ~space ~kind ~pattern
+              ~bytes:((lines * 64) - off);
+            []
+        | M_prefetch { dt; line; space } ->
+            now := !now +. float_of_int dt;
+            ignore
+              (Memsim.Memory.prefetch m ~now_ns:!now ~addr:(line * 64) space
+                : float);
+            []
+        | M_background { dt; len; space; read; write } ->
+            now := !now +. float_of_int dt;
+            Memsim.Memory.record_background m ~from_ns:!now
+              ~until_ns:(!now +. float_of_int len) ~space ~read_bytes:read
+              ~write_bytes:write;
+            []
+        | M_cause c ->
+            Memsim.Memory.set_cause m (List.nth causes (c mod List.length causes));
+            []
+        | M_arm ->
+            Memsim.Memory.set_durability_tracking m true;
+            []
+        | M_undurable { line; lines } ->
+            Memsim.Memory.nvm_undurable_in m ~base:(line * 64)
+              ~bytes:(lines * 64)
+      in
+      let bits = Int64.bits_of_float in
+      let series ts =
+        List.init (Simstats.Timeseries.length ts) (fun i ->
+            bits (Simstats.Timeseries.get ts i))
+      in
+      let observe m r =
+        let snap = Memsim.Memory.snapshot m and llc = Memsim.Memory.llc m in
+        let per_space space =
+          let service, wait = Memsim.Memory.pipe_stats m space in
+          ( [ bits service; bits wait ]
+            @ Array.to_list
+                (Array.map bits (Memsim.Memory.service_by_class m space)),
+            series (Memsim.Memory.read_trace m space),
+            series (Memsim.Memory.write_trace m space) )
+        in
+        ( ( bits (Memsim.Memory.last_duration m),
+            List.map bits
+              [
+                snap.Memsim.Memory.dram_read_bytes;
+                snap.Memsim.Memory.dram_write_bytes;
+                snap.Memsim.Memory.nvm_read_bytes;
+                snap.Memsim.Memory.nvm_write_bytes;
+              ],
+            [
+              Memsim.Llc.hits llc;
+              Memsim.Llc.misses llc;
+              Memsim.Llc.prefetch_hits llc;
+              Memsim.Llc.prefetch_issued llc;
+              Memsim.Llc.writebacks llc;
+              Memsim.Llc.run_wb_count llc;
+            ] ),
+          (per_space A.Dram, per_space A.Nvm),
+          ( Memsim.Memory.current_cause m,
+            Memsim.Memory.durability_tracking m,
+            match r with
+            | None -> []
+            | Some r ->
+                List.concat_map
+                  (fun c ->
+                    List.map
+                      (fun (nvm, write) ->
+                        bits (Nvmtrace.Recorder.total r ~nvm ~write c))
+                      [ (false, false); (false, true); (true, false); (true, true) ])
+                  causes ) )
+      in
+      Fun.protect
+        ~finally:(fun () -> Nvmtrace.Hooks.set_recorder None)
+        (fun () ->
+          let a = Memsim.Memory.create config in
+          List.iter
+            (fun prefix ->
+              let now = ref 0.0 and r = recorder () in
+              List.iter (fun op -> ignore (step a r now op : int list)) prefix;
+              Memsim.Memory.reset a)
+            prefixes;
+          let b = Memsim.Memory.create config in
+          let r_a = recorder () and r_b = recorder () in
+          let now_a = ref 0.0 and now_b = ref 0.0 in
+          observe a r_a = observe b r_b
+          && List.for_all
+               (fun op ->
+                 let ua = step a r_a now_a op in
+                 let ub = step b r_b now_b op in
+                 ua = ub && observe a r_a = observe b r_b)
+               suffix))
+
+(* Reusing a memory is only worth it if resetting costs next to nothing:
+   after a 40-object fuzz run, [reset] must stay allocation-free (a few
+   words of slack for the measurement itself). *)
+let test_memory_reset_allocation () =
+  let spec =
+    Simcheck.Spec.generate (Simstats.Prng.create 42) ~max_objects:40
+  in
+  let inst = Simcheck.Spec.instantiate spec in
+  let memory = mk_memory () in
+  let all =
+    List.find
+      (fun v -> v.Simcheck.Fuzz.name = "g1-all")
+      Simcheck.Fuzz.all_variants
+  in
+  let gc =
+    Nvmgc.Young_gc.create ~heap:inst.Simcheck.Spec.heap ~memory
+      (all.Simcheck.Fuzz.make ~threads:4)
+  in
+  ignore (Nvmgc.Young_gc.collect gc ~now_ns:0.0 : Nvmgc.Gc_stats.pause);
+  check_bool "the run used the LLC" true
+    (Memsim.Llc.misses (Memsim.Memory.llc memory) > 0);
+  let before = Gc.minor_words () in
+  Memsim.Memory.reset memory;
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "reset allocates < 64 minor words (got %.0f)" words)
+    true (words < 64.0)
+
 let prop_access_duration_monotone_in_size =
   QCheck2.Test.make ~name:"bigger sequential access never cheaper" ~count:50
     QCheck2.Gen.(int_range 64 100_000)
@@ -685,6 +971,7 @@ let () =
             test_llc_seq_flag_propagates;
           Alcotest.test_case "capacity rounding" `Quick test_llc_capacity_rounding;
           Alcotest.test_case "clear" `Quick test_llc_clear;
+          Alcotest.test_case "way bound" `Quick test_llc_way_bound;
           Alcotest.test_case "capacity behaviour" `Quick test_llc_capacity_behaviour;
           Alcotest.test_case "create allocation" `Quick
             test_llc_create_allocation;
@@ -707,6 +994,9 @@ let () =
           Alcotest.test_case "traces" `Quick test_memory_traces;
           Alcotest.test_case "record background" `Quick
             test_memory_record_background;
+          Alcotest.test_case "reset allocation" `Quick
+            test_memory_reset_allocation;
+          qc prop_reset_is_fresh;
           qc prop_access_duration_monotone_in_size;
           qc prop_batched_mix_equals_fold;
           qc prop_recorder_cause_totals_exact;
