@@ -35,6 +35,19 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Scales and window widths likewise: zero, negative, NaN or infinite
+   values are usage errors, not a silent one-GC run or an exception
+   inside the recorder. *)
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when f > 0.0 && Float.is_finite f -> Ok f
+    | Ok f ->
+        Error (`Msg (Printf.sprintf "must be positive and finite, got %g" f))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let options_term =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -46,7 +59,7 @@ let options_term =
   in
   let gc_scale =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "gc-scale" ] ~docv:"F"
           ~doc:"Multiplier on GCs per run (use <1 for quicker runs).")
   in
@@ -95,7 +108,7 @@ let options_term =
   in
   let stats_window =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "stats-window" ] ~docv:"MS"
           ~doc:
             "Recorder window width in simulated milliseconds (default 1).  \
@@ -463,7 +476,7 @@ let stats_cmd =
   in
   let window_arg =
     Arg.(
-      value & opt (some float) None
+      value & opt (some positive_float) None
       & info [ "window" ] ~docv:"MS"
           ~doc:
             "Recorder window width in simulated milliseconds (overrides \
@@ -517,10 +530,7 @@ let stats_cmd =
         guarded @@ fun () ->
         let options =
           match window with
-          | Some ms when ms > 0.0 ->
-              { options with Experiments.Runner.stats_window_ms = ms }
-          | Some ms ->
-              invalid_arg (Printf.sprintf "--window must be positive: %g" ms)
+          | Some ms -> { options with Experiments.Runner.stats_window_ms = ms }
           | None -> options
         in
         let recorder =

@@ -3,8 +3,18 @@
 # full test suite with post-pause verification forced on, and a telemetry
 # smoke: produce a Chrome trace + metrics CSV and validate them.
 set -eu
+repo=$(pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# ci.sh must leave tracked files as it found them: every artifact it
+# writes goes to $tmp or to an ignored directory.  The final check
+# compares the work tree's diff against this snapshot.
+in_work_tree=false
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  in_work_tree=true
+  git diff --binary > "$tmp/tracked.before"
+fi
 
 dune build @default
 dune build @verify
@@ -172,47 +182,100 @@ nv=$(user_cpu "$tmp/cpu.no-verify")
 echo "fig5 verification overhead: ${v}s verified, ${nv}s --no-verify user CPU" \
   "($(awk -v v="$v" -v nv="$nv" 'BEGIN { printf "%.2f", v / nv }')x)"
 
-# Engine-throughput gates, release profile.  The dev profile passes
-# -opaque, which disables all cross-module inlining — the recorded
-# baselines assume the inlined (release) build, the configuration the
-# digest gate above pinned to identical simulated results.
-# bench_throughput re-times the serial sweep (best of 4 rounds — the
-# floor is the engine, the rest is host jitter) and emits
-# BENCH_throughput.json; --check fails the build when objects-per-CPU-
-# second drops below 0.95x the recorded baseline (the user-CPU series is
-# immune to descheduling noise; see EXPERIMENTS.md "host drift").
-# CPU-frequency sags can still trip it; re-run before concluding a code
-# regression.
-dune exec --profile release bench/bench_throughput.exe -- --check --rounds 4
+# Engine-throughput floors, release profile, on the performance ledger
+# (bench/ledger, the benchmark of record in BENCHMARK.json).  The dev
+# profile passes -opaque, which disables all cross-module inlining; the
+# floors assume the inlined release build, the configuration the digest
+# gates above pinned to identical simulated results.  Each gate runs one
+# workload for 8 fresh-process rounds and reads objects_per_cpu_s from
+# the run's last JSON line: the ledger's quietest-quarter estimator on
+# the user-CPU series, which descheduling on a shared host does not
+# inflate.  A gate fails when the run is incorrect or the rate falls
+# below 0.95x its recorded baseline.  CPU-frequency sags can still trip
+# it; re-run before concluding a code regression.
+#
+# sweep-fig5 (the digest sweep: 4 apps x 5 setups, verifier and recorder
+# off) bounds the serial hot path.  Median of 14 runs of
+#   ledger.exe --workload sweep-fig5 --rounds 8
+# on 2026-10-17, Host: nproc=2 domains=2 profile=release ocaml=5.1.1
+# (EXPERIMENTS.md "Ledger floors" has every reading).
+sweep_fig5_baseline=355238
+# verified-fig5 (the same cells with verification and the continuous
+# recorder on, inside Runner.with_telemetry) bounds the recorder's and
+# verifier's hot-path overhead.  Median of 14 runs of
+#   ledger.exe --workload verified-fig5 --rounds 8
+# on 2026-10-17, Host: nproc=2 domains=2 profile=release ocaml=5.1.1.
+verified_fig5_baseline=258432
+ledger_floor() {
+  workload=$1
+  baseline=$2
+  out="$tmp/ledger.$workload"
+  if ! dune exec --profile release bench/ledger/ledger.exe -- \
+    --workload "$workload" --rounds 8 > "$out"; then
+    echo "ci: ledger $workload run failed" >&2
+    tail -n 5 "$out" >&2
+    exit 1
+  fi
+  last=$(tail -n 1 "$out")
+  case $last in
+    *'"correct":true'*) ;;
+    *)
+      echo "ci: ledger $workload run incorrect: $last" >&2
+      exit 1
+      ;;
+  esac
+  rate=$(printf '%s\n' "$last" \
+    | sed -n 's/.*"objects_per_cpu_s":{"value":\([0-9.e+]*\).*/\1/p')
+  ratio=$(awk -v r="${rate:-0}" -v b="$baseline" \
+    'BEGIN { printf "%.3f", r / b }')
+  echo "ledger $workload: ${rate:-no} obj/CPU-s, ${ratio}x of $baseline"
+  if ! awk -v r="${rate:-0}" -v b="$baseline" \
+    'BEGIN { exit !(r >= 0.95 * b) }'; then
+    echo "ci: FAIL: ledger $workload at ${ratio}x of its recorded" \
+      "baseline (threshold 0.95x): the hot path regressed, or the host" \
+      "sagged: re-run before concluding a regression" >&2
+    exit 1
+  fi
+}
+ledger_floor sweep-fig5 "$sweep_fig5_baseline"
+ledger_floor verified-fig5 "$verified_fig5_baseline"
 
-# Recorder-overhead gate: the same roofline with the continuous recorder
-# armed must still clear the 0.9x baseline check.
-dune exec --profile release bench/bench_throughput.exe -- --check --record
-
-# Profile artifact: per-phase flat profile of the same sweep (SIGPROF
-# samples + exact per-phase minor-allocation attribution) published as
-# CSV so perf work can diff phase shares across commits without re-
-# deriving them from scratch.
-dune exec --profile release bench/profile_sweep.exe -- \
-  --no-verify --alloc --csv PROFILE_sweep.csv > /dev/null
-test -s PROFILE_sweep.csv
+# Profile artifact: a traced ledger run splits the same sweep by layer
+# (span self times, exact allocation and switch counts, SIGPROF samples)
+# and appends the per-layer metrics as one JSON line, so perf work can
+# diff layer shares across commits (`ledger.exe compare`).  Its Chrome
+# trace lands in the ignored _ledger/ directory.
+dune exec --profile release bench/ledger/ledger.exe -- \
+  --workload sweep-fig5 --trace 1 --out "$tmp/profile.jsonl" > /dev/null
+test -s "$tmp/profile.jsonl"
 
 # Parallel non-degradation gate: bench_parallel times the same sweep at
 # --jobs 1/2/4/8 inside one process and emits BENCH_parallel.json.  The
 # pool clamps to the host's domain count, so --jobs > 1 must never be
 # slower than serial beyond dispatch overhead + timing noise; fail if
 # any sweep_speedup falls below 0.75x serial.
-dune exec bench/bench_parallel.exe
+# It runs in $tmp so the checked-in BENCH_parallel.json stays untouched.
+dune build bench/bench_parallel.exe
+( cd "$tmp" && "$repo/_build/default/bench/bench_parallel.exe" )
 # A 1-domain host clamps every job count to one worker, making this gate
 # vacuous; bench_parallel marks the JSON so the log is not misread.
-if grep -q '"gate_vacuous": true' BENCH_parallel.json; then
+if grep -q '"gate_vacuous": true' "$tmp/BENCH_parallel.json"; then
   echo "ci: NOTE: parallel non-degradation gate vacuous on 1-domain host" \
     "(BENCH_parallel.json gate_vacuous=true)"
 fi
 awk -F'"sweep_speedup": ' '/sweep_speedup/ {
   split($2, a, ","); if (a[1] + 0 < 0.75) bad = 1
-} END { exit bad }' BENCH_parallel.json || {
+} END { exit bad }' "$tmp/BENCH_parallel.json" || {
   echo "ci: --jobs > 1 sweep slower than serial beyond tolerance" \
     "(sweep_speedup < 0.75 in BENCH_parallel.json)" >&2
   exit 1
 }
+
+if $in_work_tree; then
+  git diff --binary > "$tmp/tracked.after"
+  if ! cmp -s "$tmp/tracked.before" "$tmp/tracked.after"; then
+    echo "ci: ci.sh modified tracked files:" >&2
+    diff "$tmp/tracked.before" "$tmp/tracked.after" | head -n 20 >&2 || true
+    exit 1
+  fi
+fi

@@ -56,7 +56,7 @@ let on_processed (pair : Write_cache.pair) ~slot ~referent_first_slot
        && not pair.Write_cache.cache.Simheap.Region.stolen_from
     then begin
       pair.Write_cache.last <- Work_stack.no_slot;
-      Nvmtrace.Hooks.count "flush_tracker.ready";
+      Nvmtrace.Hooks.count ~by:1 "flush_tracker.ready";
       Ready pair
     end
     else begin
@@ -71,12 +71,12 @@ let on_processed (pair : Write_cache.pair) ~slot ~referent_first_slot
         referent_first_slot >= 0
         && referent_home = pair.Write_cache.cache.Simheap.Region.idx
       in
-      if same_pair then Nvmtrace.Hooks.count "flush_tracker.rearms"
+      if same_pair then Nvmtrace.Hooks.count ~by:1 "flush_tracker.rearms"
       else
         (* Tracking lost: the pair waits for the write-only sub-phase.
            Counting these makes the conservatism of the Figure-4c
            heuristic visible in the metrics/recorder output. *)
-        Nvmtrace.Hooks.count "flush_tracker.lost_tracking";
+        Nvmtrace.Hooks.count ~by:1 "flush_tracker.lost_tracking";
       pair.Write_cache.last <-
         (if same_pair then referent_first_slot else Work_stack.no_slot);
       Keep

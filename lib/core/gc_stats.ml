@@ -82,7 +82,7 @@ let create_totals () =
    Durations are histogrammed in ns, traffic in bytes, so the §3.1-style
    distributions can be read straight out of a --metrics dump. *)
 let feed_metrics p =
-  Nvmtrace.Hooks.count "gc.pauses";
+  Nvmtrace.Hooks.count ~by:1 "gc.pauses";
   Nvmtrace.Hooks.observe "gc.pause_ns" p.pause_ns;
   Nvmtrace.Hooks.observe "gc.traverse_ns" p.traverse_ns;
   Nvmtrace.Hooks.observe "gc.flush_ns" p.flush_ns;

@@ -147,9 +147,9 @@ let put_code t ~key ~value =
   let code = put_scan t key value (hash t key) 1 in
   (* Telemetry outcome counters (no-ops without an installed registry;
      the registry is only ever installed on single-domain runs). *)
-  (if code = 0 then Nvmtrace.Hooks.count "header_map.installs"
-   else if code > 0 then Nvmtrace.Hooks.count "header_map.races_found"
-   else Nvmtrace.Hooks.count "header_map.fallbacks");
+  (if code = 0 then Nvmtrace.Hooks.count ~by:1 "header_map.installs"
+   else if code > 0 then Nvmtrace.Hooks.count ~by:1 "header_map.races_found"
+   else Nvmtrace.Hooks.count ~by:1 "header_map.fallbacks");
   code
 
 (** Allocating [put_code] wrapper kept for tests and tools. *)
@@ -188,7 +188,7 @@ let rec get_scan t key idx cnt =
 let get_addr t ~key =
   if key = 0 then invalid_arg "Header_map.get: null key";
   let v = get_scan t key (hash t key) 1 in
-  if v <> 0 then Nvmtrace.Hooks.count "header_map.hits";
+  if v <> 0 then Nvmtrace.Hooks.count ~by:1 "header_map.hits";
   v
 
 (** Allocating [get_addr] wrapper kept for tests and tools. *)

@@ -77,7 +77,7 @@ let new_pair t =
             None
         | Some shadow ->
             assert (cache.Simheap.Region.bytes = shadow.Simheap.Region.bytes);
-            Nvmtrace.Hooks.count "write_cache.pairs_allocated";
+            Nvmtrace.Hooks.count ~by:1 "write_cache.pairs_allocated";
             t.allocated_bytes <- t.allocated_bytes + cache.Simheap.Region.bytes;
             let pair =
               { cache; shadow; filled = false; flushed = false; last = -1 }
@@ -123,7 +123,7 @@ let record_direct_copy t bytes =
     the DRAM region.  Memory-cost accounting is the caller's business. *)
 let complete_flush t pair =
   assert (not pair.flushed);
-  Nvmtrace.Hooks.count "write_cache.flushes";
+  Nvmtrace.Hooks.count ~by:1 "write_cache.flushes";
   pair.flushed <- true;
   Simstats.Vec.iter
     (fun (o : Simheap.Objmodel.t) ->

@@ -332,7 +332,7 @@ let execute ?threads ?gcs ?(trace = false) ?(llc_scale = 1.0) ?nvm ?dram
   in
   (* Feed the metrics registry and the console sink with the run-level
      view (Gc_stats.add already fed the per-pause view). *)
-  Nvmtrace.Hooks.count "runner.runs";
+  Nvmtrace.Hooks.count ~by:1 "runner.runs";
   Nvmtrace.Hooks.observe "runner.gc_ns" result.Workloads.Mutator.gc_ns;
   Nvmtrace.Hooks.observe "runner.app_ns" result.Workloads.Mutator.app_ns;
   let totals = Nvmgc.Young_gc.totals gc in

@@ -6,8 +6,9 @@
 
     Hot code marks the phase it is executing with {!enter}/{!leave} —
     two plain stores, cheap enough for the memory-model inner loop — and
-    a driver (e.g. [bench/profile_sweep.exe]) arranges for {!tick} to
-    run on a profiling-timer signal (SIGPROF via [Unix.setitimer]).
+    a driver (the performance ledger's sampling child, bench/ledger)
+    arranges for {!tick} to run on a profiling-timer signal (SIGPROF via
+    [Unix.setitimer]).
     Each tick attributes one sample to the current phase.  The driver
     owns the timer so this library carries no [unix] dependency and the
     sampler costs nothing when no driver installed one.
@@ -99,15 +100,3 @@ let samples () =
     if sample_counts.(i) > 0 then rows := (names.(i), sample_counts.(i)) :: !rows
   done;
   List.sort (fun (_, a) (_, b) -> compare b a) !rows
-
-let pp ppf () =
-  let tot = total () in
-  if tot = 0 then Format.fprintf ppf "hostprof: no samples@."
-  else begin
-    Format.fprintf ppf "hostprof: %d samples@." tot;
-    List.iter
-      (fun (name, n) ->
-        Format.fprintf ppf "  %-24s %6d  %5.1f%%@." name n
-          (100.0 *. float_of_int n /. float_of_int tot))
-      (samples ())
-  end

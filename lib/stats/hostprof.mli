@@ -9,7 +9,7 @@
         (Unix.setitimer Unix.ITIMER_PROF
            { Unix.it_interval = 0.001; it_value = 0.001 });
       (* ... run the workload ... *)
-      Format.printf "%a" Simstats.Hostprof.pp ()
+      Simstats.Hostprof.samples ()
     ]} *)
 
 val register : string -> int
@@ -45,5 +45,3 @@ val alloc_samples : unit -> (string * float * int) list
     descending by words.  Each switch itself allocates ~2 words (the
     boxed [Gc.minor_words] result), charged to the phase being left —
     subtract [2 * switches] for a self-overhead-free reading. *)
-
-val pp : Format.formatter -> unit -> unit

@@ -44,10 +44,10 @@ let lane_name ~lane name =
   | None -> ()
   | Some t -> Tracer.set_lane_name t ~lane name
 
-let count ?by name =
+let count ~by name =
   match (ambient ()).metrics with
   | None -> ()
-  | Some m -> Metrics.incr m ?by name
+  | Some m -> Metrics.incr m ~by name
 
 let observe name v =
   match (ambient ()).metrics with

@@ -5,8 +5,8 @@
     installed, and emits into nothing — at the cost of one load and
     compare per call site — when none is installed.  Installing or
     removing a sink can never change simulated results: every emitter is
-    pure observation (enforced by a determinism test and a disabled-path
-    micro-benchmark).
+    pure observation (enforced by a determinism test), and no emitter
+    allocates when nothing is installed (enforced by an allocation test).
 
     Event taxonomy (lanes are {!Tracer}'s: 0 = pause, [tid+1] = GC
     thread [tid]):
@@ -75,8 +75,10 @@ val instant :
 
 val lane_name : lane:int -> string -> unit
 
-val count : ?by:int -> string -> unit
-(** Bump a named counter in the installed registry (no-op otherwise). *)
+val count : by:int -> string -> unit
+(** Add [by] to a named counter in the installed registry (no-op
+    otherwise).  [by] is not optional: an optional argument would box
+    [Some by] at every call site, installed registry or not. *)
 
 val observe : string -> float -> unit
 (** Record into a named histogram in the installed registry. *)

@@ -108,7 +108,8 @@ type t = {
 }
 
 let create ?(window_ns = 1e6) ?(flight_events = 4096) () =
-  if window_ns <= 0.0 then invalid_arg "Recorder.create: window_ns <= 0";
+  if not (window_ns > 0.0 && Float.is_finite window_ns) then
+    invalid_arg "Recorder.create: window_ns must be positive and finite";
   let cap = max 16 flight_events in
   let scap = max 16 (flight_events / 8) in
   {

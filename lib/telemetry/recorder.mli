@@ -44,8 +44,8 @@ type t
 
 val create : ?window_ns:float -> ?flight_events:int -> unit -> t
 (** [create ()] makes an empty recorder with 1 ms windows and a
-    4096-event flight ring.  Raises [Invalid_argument] if
-    [window_ns <= 0]. *)
+    4096-event flight ring.  Raises [Invalid_argument] unless
+    [window_ns] is positive and finite. *)
 
 val window_ns : t -> float
 

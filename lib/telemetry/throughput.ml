@@ -1,30 +1,17 @@
-(** Roofline-style engine throughput: simulated objects evacuated per
-    host wall-second.
+(** Host-time timer for benchmark drivers.
 
-    The serial sweep's cost is dominated by the evacuation inner loop and
-    the memory model it drives, so "objects/s of host time" is the
-    engine's roofline: it moves only when the simulator itself gets
-    faster (or slower), never when the *simulated* machine does — a
-    simulated clock has no effect on host wall-clock.  BENCH_throughput
-    tracks this number against a recorded pre-optimization baseline; the
-    profile that justified the hot-path work is reproducible with
-    [bench/profile_sweep.exe] (see EXPERIMENTS.md). *)
+    A simulated clock has no effect on host time, so host seconds per
+    unit of simulated work measure the simulator itself: they move only
+    when the engine gets faster (or slower), never when the simulated
+    machine does.  The performance ledger (bench/ledger) divides the
+    work of each operation by the time this timer records. *)
 
 type t = {
-  mutable objects : int;  (** simulated objects evacuated *)
-  mutable bytes : int;  (** simulated bytes copied *)
-  mutable pauses : int;  (** simulated pauses contributing *)
-  mutable wall_s : float;  (** host wall-clock spent producing them *)
-  mutable cpu_s : float;  (** host user-CPU spent producing them *)
+  mutable wall_s : float;  (** host wall-clock spent in timed calls *)
+  mutable cpu_s : float;  (** host user-CPU spent in timed calls *)
 }
 
-let create () = { objects = 0; bytes = 0; pauses = 0; wall_s = 0.0; cpu_s = 0.0 }
-
-let add t ~objects ~bytes ~pauses ~wall_s =
-  t.objects <- t.objects + objects;
-  t.bytes <- t.bytes + bytes;
-  t.pauses <- t.pauses + pauses;
-  t.wall_s <- t.wall_s +. wall_s
+let create () = { wall_s = 0.0; cpu_s = 0.0 }
 
 (** Time [f], folding its host wall-clock and user-CPU into [t].  The
     user-CPU series (rusage, via [Unix.times]) is immune to scheduling
@@ -39,26 +26,3 @@ let timed t f =
   t.wall_s <- t.wall_s +. (Unix.gettimeofday () -. t0);
   t.cpu_s <- t.cpu_s +. ((Unix.times ()).Unix.tms_utime -. c0);
   v
-
-let objects_per_s t =
-  if t.wall_s <= 0.0 then 0.0 else float_of_int t.objects /. t.wall_s
-
-let objects_per_cpu_s t =
-  if t.cpu_s <= 0.0 then 0.0 else float_of_int t.objects /. t.cpu_s
-
-let bytes_per_s t =
-  if t.wall_s <= 0.0 then 0.0 else float_of_int t.bytes /. t.wall_s
-
-(** Publish the rates as gauges on a metrics registry
-    ([throughput.objects_per_s], [throughput.bytes_per_s]). *)
-let gauge registry t =
-  Metrics.set_gauge registry "throughput.objects_per_s" (objects_per_s t);
-  Metrics.set_gauge registry "throughput.bytes_per_s" (bytes_per_s t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%d objects / %.3fs wall (%.3fs user CPU) = %.0f objects/s wall, %.0f \
-     objects/s CPU (%.1f MB/s simulated copy, %d pauses)"
-    t.objects t.wall_s t.cpu_s (objects_per_s t) (objects_per_cpu_s t)
-    (bytes_per_s t /. 1e6)
-    t.pauses

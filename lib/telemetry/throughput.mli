@@ -1,41 +1,17 @@
-(** Roofline-style engine throughput: simulated objects evacuated per
-    host wall-second.  Host-time metric of the {e simulator} — it moves
-    only when the engine gets faster, never when the simulated machine
-    does.  Fed by benchmark drivers (bench/bench_throughput.ml); see
-    DESIGN.md §11 for the metric's definition and EXPERIMENTS.md for the
-    recorded numbers. *)
+(** Host-time timer for benchmark drivers: the wall-clock and user-CPU
+    seconds a measured call spends.  Host time of the {e simulator} — it
+    moves only when the engine gets faster, never when the simulated
+    machine does.  The performance ledger (bench/ledger) times every
+    operation with it; see DESIGN.md §11 for the metrics built on it and
+    EXPERIMENTS.md for the recorded numbers. *)
 
 type t = {
-  mutable objects : int;  (** simulated objects evacuated *)
-  mutable bytes : int;  (** simulated bytes copied *)
-  mutable pauses : int;  (** simulated pauses contributing *)
-  mutable wall_s : float;  (** host wall-clock spent producing them *)
-  mutable cpu_s : float;  (** host user-CPU spent producing them *)
+  mutable wall_s : float;  (** host wall-clock spent in timed calls *)
+  mutable cpu_s : float;  (** host user-CPU spent in timed calls *)
 }
 
 val create : unit -> t
 
-val add : t -> objects:int -> bytes:int -> pauses:int -> wall_s:float -> unit
-(** Fold one measured interval into the accumulator. *)
-
 val timed : t -> (unit -> 'a) -> 'a
 (** Run [f], adding its host wall-clock to [wall_s] and its user-CPU
-    (rusage series, via [Unix.times]) to [cpu_s]; the caller adds the
-    objects the call produced via {!add} (with [wall_s:0.0]) or directly. *)
-
-val objects_per_s : t -> float
-(** Simulated objects evacuated per host wall-second; 0 before any time
-    was recorded. *)
-
-val objects_per_cpu_s : t -> float
-(** Simulated objects evacuated per host user-CPU second — the
-    scheduling-noise-free series regression gates compare (descheduling
-    on a shared host inflates wall time but not user CPU). *)
-
-val bytes_per_s : t -> float
-
-val gauge : Metrics.t -> t -> unit
-(** Publish both rates as gauges ([throughput.objects_per_s],
-    [throughput.bytes_per_s]). *)
-
-val pp : Format.formatter -> t -> unit
+    (rusage series, via [Unix.times]) to [cpu_s]. *)

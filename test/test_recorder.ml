@@ -250,6 +250,20 @@ let test_merge_exact () =
        false
      with Invalid_argument _ -> true)
 
+(* A window must be a positive, finite width: NaN slips past a plain
+   [<= 0] check and infinity makes every event land in window 0. *)
+let test_create_rejects_degenerate_windows () =
+  List.iter
+    (fun w ->
+      check_bool
+        (Printf.sprintf "window_ns %g rejected" w)
+        true
+        (try
+           ignore (Rec.create ~window_ns:w ());
+           false
+         with Invalid_argument _ -> true))
+    [ nan; infinity; neg_infinity; 0.0; -1.0 ]
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
 
@@ -289,6 +303,11 @@ let () =
           Alcotest.test_case "counter tracks" `Quick test_counter_tracks;
         ] );
       ( "merge", [ Alcotest.test_case "exact" `Quick test_merge_exact ] );
+      ( "create",
+        [
+          Alcotest.test_case "rejects degenerate windows" `Quick
+            test_create_rejects_degenerate_windows;
+        ] );
       ( "flight",
         [ Alcotest.test_case "dump" `Quick test_flight_dump ] );
     ]

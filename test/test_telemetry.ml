@@ -500,6 +500,47 @@ let test_fuzz_determinism () =
     with_sinks.Simcheck.Fuzz.summaries without.Simcheck.Fuzz.summaries
 
 (* ------------------------------------------------------------------ *)
+(* Disabled-path cost: with nothing installed, every emitter is one
+   load and compare and allocates nothing — including [count ~by],
+   whose argument would be boxed if it were optional.                  *)
+
+let minor_words_of n f =
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  Gc.minor_words () -. w0
+
+let test_disabled_emitters_allocate_nothing () =
+  let module H = Nvmtrace.Hooks in
+  let saved = H.ambient () in
+  H.set_ambient { H.tracer = None; metrics = None; recorder = None };
+  Fun.protect ~finally:(fun () -> H.set_ambient saved) @@ fun () ->
+  let n = 100_000 in
+  (* The empty loop's reading is what the two [Gc.minor_words] reads
+     cost themselves. *)
+  let base = minor_words_of n ignore in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.0))
+        (name ^ " allocates nothing over 100k calls")
+        base (minor_words_of n f))
+    [
+      ("count", fun _ -> H.count ~by:1 "c");
+      ("count ~by", fun i -> H.count ~by:i "c");
+      ("observe", fun _ -> H.observe "h" 1.0);
+      ("gauge", fun _ -> H.gauge "g" 1.0);
+      ("span", fun _ -> H.span ~lane:1 ~name:"s" ~start_ns:0.0 ~end_ns:1.0 ());
+      ("instant", fun _ -> H.instant ~lane:1 ~name:"i" ~ts_ns:0.0 ());
+      ( "traffic",
+        fun _ ->
+          H.traffic ~from_ns:0.0 ~until_ns:1.0 ~nvm:true ~write:true
+            ~cause:Nvmtrace.Recorder.Evac_copy ~bytes:64.0 );
+      ("sample", fun _ -> H.sample ~now_ns:0.0 "s" 1.0);
+      ("track", fun _ -> H.track ~now_ns:0.0 "t" 1.0);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Gc_stats satellite: percentiles and the pause pretty-printer        *)
 
 let test_gc_stats_percentiles () =
@@ -574,6 +615,8 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "fuzz determinism" `Quick test_fuzz_determinism;
+          Alcotest.test_case "disabled emitters allocate nothing" `Quick
+            test_disabled_emitters_allocate_nothing;
         ] );
       ( "gc_stats",
         [
