@@ -33,8 +33,9 @@ dune build @crash
 # Both campaigns are pure functions of --seed at any --jobs.  80 cases
 # clear Fuzz.effective_jobs' serial threshold (25 would not), so the
 # --jobs 8 leg really dispatches through the domain pool.  Each domain
-# reuses one memory model across its variant runs (Memory.reset), so
-# every domain's memory carries a different history: the release
+# reuses one memory model, one collector and a heap per geometry across
+# its variant runs (Memory.reset, Young_gc.reset, Heap.reset), so every
+# domain's pooled objects carry a different history: the release
 # --jobs 8 leg is the comparison that would expose a reset leaking state
 # in the inlined build.
 for campaign in "" "--crash"; do
@@ -86,6 +87,32 @@ for gate in early-ready:45 drop-flush:50; do
     exit 1
   fi
   echo "crash oracle mutation table: --tamper $kind caught $n/50 cases"
+done
+
+# Pooled state after failing runs: every tampered crash case fails, and
+# the objects of a failed run go back to the pool.  56 cases is the
+# smallest seed-7 campaign that Fuzz.effective_jobs sends through the
+# domain pool (50 stays serial), so the release --jobs 8 leg spreads the
+# failures, their shrinking and the reuse that follows over domains.
+# Its report must be byte-identical to the serial dev one.
+for kind in early-ready drop-flush; do
+  for leg in "dev 1" "release 8"; do
+    profile=${leg% *}
+    jobs=${leg#* }
+    if dune exec --profile "$profile" bin/nvmgc_cli.exe -- fuzz --crash \
+      --cases 56 --seed 7 --tamper "$kind" --jobs "$jobs" \
+      > "$tmp/tamper56.$profile" 2> /dev/null; then
+      echo "ci: 56-case --tamper $kind campaign ($profile, --jobs $jobs)" \
+        "passed: the oracle missed the injected bug" >&2
+      exit 1
+    fi
+  done
+  if ! cmp -s "$tmp/tamper56.dev" "$tmp/tamper56.release"; then
+    echo "ci: 56-case --tamper $kind report differs:" \
+      "dev --jobs 1 vs release --jobs 8" >&2
+    diff "$tmp/tamper56.dev" "$tmp/tamper56.release" | head -n 20 >&2 || true
+    exit 1
+  fi
 done
 
 # Telemetry smoke (also covered by the deterministic `dune build @trace`

@@ -140,22 +140,35 @@ type thread = {
           the cached path free of a per-object [Some] *)
 }
 
+(* An engine is built once per collector and reused by every pause
+   ({!start_pause} re-initialises the per-pause state in place), so the
+   thread records, work stacks, slot pool, pair table and schedule
+   buffers are allocated once, not once per pause. *)
 type t = {
-  heap : Simheap.Heap.t;
-  memory : Memsim.Memory.t;
-  config : Gc_config.t;
-  schedule : Schedule.t option;
+  mutable heap : Simheap.Heap.t;
+  mutable memory : Memsim.Memory.t;
+  mutable config : Gc_config.t;
+  mutable schedule : Schedule.t option;
       (** [Some] replaces every discretionary decision (thread order,
           steal victims, region grabs, fallback/flush timing) — the
           simulation-testing seam.  [None] keeps the min-clock engine. *)
-  header_map : Header_map.t option;  (** [Some] iff active this pause *)
-  write_cache : Write_cache.t option;
-  threads : thread array;
+  mutable header_map : Header_map.t option;  (** [Some] iff active this pause *)
+  mutable write_cache : Write_cache.t option;
+  mutable threads : thread array;  (** the [config.threads] active threads *)
+  mutable by_count : thread array array;
+      (** [by_count.(n)]: the first [n] thread records, built on first
+          use; every entry shares the same records, so a rebind to
+          another thread count allocates nothing after the first time *)
   pool : Work_stack.pool;
       (** pause-local slot registry backing the packed work items *)
-  mark_stolen : int -> unit;
+  mutable mark_stolen : int -> unit;
       (** flag a cache region (by scratch index) stolen-from; built once
           so the steal path allocates no closure *)
+  mutable runnable_bufs : int array array;
+      (** [runnable_bufs.(n)] has length [n]: the scheduled engine hands
+          the schedule the one matching the current runnable count, so a
+          step allocates no array *)
+  mutable victim_bufs : int array array;  (** the same for steal victims *)
   mutable last_copy_home : int;
       (** home (cache-region index) of the first slot pushed by the most
           recent {!copy_object} — the flush tracker pairs it with that
@@ -177,12 +190,18 @@ type t = {
           bindings must survive the pause (forwarding lookups) and be
           dropped afterwards *)
   mutable busy : int;  (** threads with a non-empty stack *)
-  start_ns : float;
+  mutable start_ns : float;
+  mutable cleared : bool;
+      (** nothing touched the per-pause state since the last clear *)
   (* Crash-consistency instrumentation.  All of it is gated on
      [schedule <> None]: production min-clock runs pay one branch. *)
   mutable crash_points : int;  (** crash-point consultation counter *)
-  flushed_shadows : (int, unit) Hashtbl.t;
-      (** region idx of every shadow reported durable so far *)
+  mutable shadows_flushed : bool;  (** some byte of [flushed_shadows] is set *)
+  mutable flushed_shadows : Bytes.t;
+      (** byte [i] is set when heap region [i] is a shadow reported
+          durable so far (grown on demand); probed on every slot update
+          of a scheduled run, where hashing an int cost more than the
+          update itself *)
   mutable post_flush_writes : (int * int) list;
       (** (region idx, addr) of slot updates into flushed shadows *)
 }
@@ -192,11 +211,11 @@ type t = {
 let dummy_region =
   R.create ~idx:(-1) ~base:0 ~bytes:0 ~space:Memsim.Access.Dram ~kind:R.Free
 
-let make_thread ~start_ns tid =
+let make_thread tid =
   {
     tid;
     stack = Work_stack.create ();
-    clock = [| start_ns |];
+    clock = [| 0.0 |];
     terminated = false;
     pair = None;
     survivor = None;
@@ -224,8 +243,11 @@ let make_thread ~start_ns tid =
    (Young_gc); GC thread [tid] owns lane [tid + 1]. *)
 let lane th = th.tid + 1
 
-let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
-    ~write_cache ~start_ns () =
+let buffers n = Array.init n (fun k -> Array.make k 0)
+
+let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map () =
+  let n = config.Gc_config.threads in
+  let threads = Array.init n make_thread in
   let t =
     {
       heap;
@@ -233,29 +255,138 @@ let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
       config;
       schedule;
       header_map;
-      write_cache;
-      threads = Array.init config.Gc_config.threads (make_thread ~start_ns);
+      write_cache = None;
+      threads;
+      by_count = Array.init (n + 1) (fun k -> if k = n then threads else [||]);
       pool = Work_stack.create_pool ();
-      mark_stolen =
-        (fun idx ->
-          (* By index, not via the live-pair table: the record semantics
-             this replaces marked whatever region record the stolen item
-             pointed at, including regions already released (whose next
-             acquisition then starts stolen-from).  Scratch regions are
-             singleton records per index, so this is the same marking. *)
-          (Simheap.Heap.scratch_region heap idx).R.stolen_from <- true);
+      mark_stolen = ignore;
+      runnable_bufs = buffers (n + 1);
+      victim_bufs = buffers n;
       last_copy_home = -1;
       scratch_first_slot = Work_stack.no_slot;
-      pair_by_region = Array.make 64 None;
+      pair_by_region = Array.make 8 None;
       pairs_outstanding = 0;
       old_addrs = Simstats.Vec.create 0;
       busy = 0;
-      start_ns;
+      start_ns = 0.0;
+      cleared = false;
       crash_points = 0;
-      flushed_shadows = Hashtbl.create 8;
+      shadows_flushed = false;
+      flushed_shadows = Bytes.make 64 '\000';
       post_flush_writes = [];
     }
   in
+  (* By index, not via the live-pair table: the record semantics this
+     replaces marked whatever region record the stolen item pointed at,
+     including regions already released (whose next acquisition then
+     starts stolen-from).  Scratch regions are singleton records per
+     index, so this is the same marking.  Reads [t.heap], so a rebound
+     engine marks its current heap. *)
+  t.mark_stolen <-
+    (fun idx -> (Simheap.Heap.scratch_region t.heap idx).R.stolen_from <- true);
+  t
+
+let reset_thread th ~start_ns =
+  Work_stack.reset th.stack;
+  th.clock.(0) <- start_ns;
+  th.terminated <- false;
+  th.pair <- None;
+  th.survivor <- None;
+  th.lab_remaining <- 0;
+  th.refs_processed <- 0;
+  th.objects_copied <- 0;
+  th.bytes_copied <- 0;
+  th.bytes_cached <- 0;
+  th.bytes_direct <- 0;
+  th.hm_installs <- 0;
+  th.hm_hits <- 0;
+  th.hm_fallbacks <- 0;
+  th.steals <- 0;
+  th.async_flushes <- 0;
+  th.spin_ns.(0) <- 0.0;
+  for i = 0 to category_count - 1 do
+    th.breakdown.(i) <- 0.0
+  done;
+  th.dest_addr <- 0;
+  th.dest_phys <- 0;
+  th.dest_space <- Memsim.Access.Dram;
+  th.dest_region <- dummy_region;
+  th.dest_pair <- None
+
+(* Everything a pause starts from, set in place: a crashed pause may have
+   left any of it mid-flight.  This also drops every reference to the
+   previous pause's objects, pairs and regions.  Only the active thread
+   records can be dirty: [rebind] clears before it changes the active
+   set. *)
+let clear_pause_state t ~start_ns =
+  for i = 0 to Array.length t.threads - 1 do
+    reset_thread t.threads.(i) ~start_ns
+  done;
+  Work_stack.clear_pool t.pool;
+  t.last_copy_home <- -1;
+  t.scratch_first_slot <- Work_stack.no_slot;
+  (* [pairs_outstanding] counts the [Some] entries exactly, so a table
+     every flush has emptied is skipped. *)
+  if t.pairs_outstanding > 0 then begin
+    for i = 0 to Array.length t.pair_by_region - 1 do
+      t.pair_by_region.(i) <- None
+    done;
+    t.pairs_outstanding <- 0
+  end;
+  Simstats.Vec.clear_to t.old_addrs ~capacity:Work_stack.kept_capacity;
+  t.busy <- 0;
+  t.start_ns <- start_ns;
+  t.crash_points <- 0;
+  if t.shadows_flushed then begin
+    Bytes.fill t.flushed_shadows 0 (Bytes.length t.flushed_shadows) '\000';
+    t.shadows_flushed <- false
+  end;
+  t.post_flush_writes <- [];
+  t.cleared <- true
+
+(* Make [n] threads active: records past the largest count so far are
+   created once, and each count's array is built once. *)
+let set_threads t n =
+  let max = Array.length t.by_count - 1 in
+  if n > max then begin
+    let all = t.by_count.(max) in
+    let all = Array.init n (fun i -> if i < max then all.(i) else make_thread i) in
+    t.by_count <-
+      Array.init (n + 1) (fun k ->
+          if k = n then all else if k < max then t.by_count.(k) else [||]);
+    t.runnable_bufs <- buffers (n + 1);
+    t.victim_bufs <- buffers n
+  end;
+  if Array.length t.by_count.(n) <> n then
+    t.by_count.(n) <- Array.sub t.by_count.(Array.length t.by_count - 1) 0 n;
+  t.threads <- t.by_count.(n)
+
+(* An idle engine (a pooled collector between runs) keeps nothing of its
+   last pause alive. *)
+let rebind t ~schedule ~heap ~memory ~config ~header_map =
+  t.schedule <- schedule;
+  t.heap <- heap;
+  t.memory <- memory;
+  t.config <- config;
+  t.header_map <- header_map;
+  t.write_cache <- None;
+  if not t.cleared then clear_pause_state t ~start_ns:0.0;
+  set_threads t config.Gc_config.threads
+
+let end_pause t = clear_pause_state t ~start_ns:0.0
+
+let start_pause t ~write_cache ~start_ns =
+  t.write_cache <- write_cache;
+  (* A pooled collector's engine was cleared when it went back to the
+     pool: only the start instant is left to set. *)
+  if t.cleared then begin
+    t.start_ns <- start_ns;
+    for i = 0 to Array.length t.threads - 1 do
+      t.threads.(i).clock.(0) <- start_ns
+    done
+  end
+  else clear_pause_state t ~start_ns;
+  t.cleared <- false;
   if Nvmtrace.Hooks.tracing () then begin
     Nvmtrace.Hooks.lane_name ~lane:0 "pause";
     Array.iter
@@ -263,8 +394,7 @@ let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
         Nvmtrace.Hooks.lane_name ~lane:(lane th)
           (Printf.sprintf "gc-%d" th.tid))
       t.threads
-  end;
-  t
+  end
 
 let old_addrs t = t.old_addrs
 
@@ -458,7 +588,15 @@ let flush_pair t th (pair : Write_cache.pair) =
     (* The flush is now reported durable: from here on the oracle holds
        the shadow to the full obligations, and any later write into it
        is a protocol violation. *)
-    Hashtbl.replace t.flushed_shadows pair.Write_cache.shadow.R.idx ();
+    let idx = pair.Write_cache.shadow.R.idx in
+    let n = Bytes.length t.flushed_shadows in
+    if idx >= n then begin
+      let b = Bytes.make (Int.max (idx + 1) (2 * n)) '\000' in
+      Bytes.blit t.flushed_shadows 0 b 0 n;
+      t.flushed_shadows <- b
+    end;
+    Bytes.set t.flushed_shadows idx '\001';
+    t.shadows_flushed <- true;
     crash_point t
   end
 
@@ -784,7 +922,11 @@ let update_slot t th slot ~ref_addr new_addr =
          durability model flags it independently). *)
       if Simheap.Heap.in_heap_range t.heap addr then begin
         let region = Simheap.Heap.region_of_addr t.heap addr in
-        if Hashtbl.mem t.flushed_shadows region.R.idx then
+        let idx = region.R.idx in
+        if
+          idx < Bytes.length t.flushed_shadows
+          && Bytes.get t.flushed_shadows idx <> '\000'
+        then
           t.post_flush_writes <- (region.R.idx, addr) :: t.post_flush_writes
       end
     end;
@@ -888,6 +1030,10 @@ let rec min_clock_go threads n i best =
 
 let min_clock_thread t = min_clock_go t.threads (Array.length t.threads) 0 (-1)
 
+(* A schedule's answer clamped into [0, n): in range it is used as is,
+   sparing the two divisions of the general case on every step. *)
+let[@inline] clamp_pick i n = if i >= 0 && i < n then i else ((i mod n) + n) mod n
+
 (* Steal from the victim with the largest stack, but only if it has at
    least two items: single-item stacks (pointer chains) stay with their
    owner, which is what makes chain-shaped graphs serialize.  A schedule
@@ -907,19 +1053,30 @@ let pick_victim_default t thief =
     t.threads;
   if !best < 0 then None else Some t.threads.(!best)
 
+(* The schedule sees the victims in [victim_bufs.(count)], ascending; it
+   must not keep the array, which the next steal refills. *)
 let pick_victim_scheduled t (s : Schedule.t) thief =
-  let victims = ref [] in
-  for i = Array.length t.threads - 1 downto 0 do
-    let th = t.threads.(i) in
-    if th.tid <> thief.tid && Work_stack.length th.stack >= 2 then
-      victims := th.tid :: !victims
+  let threads = t.threads in
+  let count = ref 0 in
+  for i = 0 to Array.length threads - 1 do
+    let th = threads.(i) in
+    if th.tid <> thief.tid && Work_stack.length th.stack >= 2 then incr count
   done;
-  match Array.of_list !victims with
-  | [||] -> None
-  | victims ->
-      let n = Array.length victims in
-      let i = s.Schedule.pick_victim ~thief:thief.tid ~victims in
-      Some t.threads.(victims.(((i mod n) + n) mod n))
+  let n = !count in
+  if n = 0 then None
+  else begin
+    let victims = t.victim_bufs.(n) in
+    let k = ref 0 in
+    for i = 0 to Array.length threads - 1 do
+      let th = threads.(i) in
+      if th.tid <> thief.tid && Work_stack.length th.stack >= 2 then begin
+        victims.(!k) <- th.tid;
+        incr k
+      end
+    done;
+    let i = s.Schedule.pick_victim ~thief:thief.tid ~victims in
+    Some threads.(victims.(clamp_pick i n))
+  end
 
 let try_steal t thief =
   let victim =
@@ -1011,22 +1168,41 @@ let run_min_clock t =
 (* Thread ids able to make progress right now: a non-empty stack (pop) or
    some other thread holding >= 2 items (steal).  Every choice from this
    set pops or steals, so a scheduled traversal always terminates —
-   adversarial schedules cannot starve it. *)
+   adversarial schedules cannot starve it.  The ids land in
+   [runnable_bufs.(count)], ascending; the schedule must not keep that
+   array, which the next step refills.  One pass counts the stacks of at
+   least two items, so a thread's "someone else is stealable" test is
+   O(1) and a step is O(threads). *)
+let is_runnable th ~deep ~deep_tid =
+  (not th.terminated)
+  && ((not (Work_stack.is_empty th.stack))
+     || deep >= 2
+     || (deep = 1 && deep_tid <> th.tid))
+
 let runnable_tids t =
-  let stealable_from tid =
-    Array.exists
-      (fun v -> v.tid <> tid && Work_stack.length v.stack >= 2)
-      t.threads
-  in
-  let ids = ref [] in
-  for i = Array.length t.threads - 1 downto 0 do
-    let th = t.threads.(i) in
-    if
-      (not th.terminated)
-      && ((not (Work_stack.is_empty th.stack)) || stealable_from th.tid)
-    then ids := th.tid :: !ids
+  let threads = t.threads in
+  let n = Array.length threads in
+  let deep = ref 0 and deep_tid = ref (-1) in
+  for i = 0 to n - 1 do
+    if Work_stack.length threads.(i).stack >= 2 then begin
+      incr deep;
+      deep_tid := threads.(i).tid
+    end
   done;
-  Array.of_list !ids
+  let deep = !deep and deep_tid = !deep_tid in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if is_runnable threads.(i) ~deep ~deep_tid then incr count
+  done;
+  let ids = t.runnable_bufs.(!count) in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if is_runnable threads.(i) ~deep ~deep_tid then begin
+      ids.(!k) <- threads.(i).tid;
+      incr k
+    end
+  done;
+  ids
 
 (** The simulation-testing engine: the schedule picks the next thread
     among those able to progress; the spin path of the termination
@@ -1042,7 +1218,7 @@ let run_scheduled t (s : Schedule.t) =
     | runnable -> begin
         let n = Array.length runnable in
         let i = s.Schedule.pick_thread ~runnable in
-        let th = t.threads.(runnable.(((i mod n) + n) mod n)) in
+        let th = t.threads.(runnable.(clamp_pick i n)) in
         if not (Work_stack.is_empty th.stack) then begin
           let slot = Work_stack.pop_nonempty th.stack in
           let home = Work_stack.popped_home th.stack in

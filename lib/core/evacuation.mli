@@ -91,16 +91,45 @@ val create :
   memory:Memsim.Memory.t ->
   config:Gc_config.t ->
   header_map:Header_map.t option ->
-  write_cache:Write_cache.t option ->
-  start_ns:float ->
   unit ->
   t
-(** [schedule] replaces every discretionary engine decision (next
-    thread, steal victim, region grabs, header-map fallback timing,
-    asynchronous-flush readiness) — the simulation-testing seam — and
-    injects the crash-consistency faults (power failures and
+(** One engine per collector, reused by all its pauses: thread records,
+    work stacks, the slot pool and the live-pair table are allocated
+    here once.  [schedule] replaces every discretionary engine decision
+    (next thread, steal victim, region grabs, header-map fallback
+    timing, asynchronous-flush readiness) — the simulation-testing seam
+    — and injects the crash-consistency faults (power failures and
     flush-protocol violations).  Without it the engine keeps its
-    deterministic min-clock policy. *)
+    deterministic min-clock policy.  The arrays handed to
+    {!Schedule.t.pick_thread} and [pick_victim] are the engine's reused
+    buffers: a schedule reads them during the call and must not keep
+    them. *)
+
+val rebind :
+  t ->
+  schedule:Schedule.t option ->
+  heap:Simheap.Heap.t ->
+  memory:Memsim.Memory.t ->
+  config:Gc_config.t ->
+  header_map:Header_map.t option ->
+  unit
+(** Point the engine at another heap, memory, schedule and configuration
+    (a pooled collector's next run), and drop everything it held of its
+    last pause, as {!start_pause} would.  Thread records are kept across
+    thread counts: a rebind allocates only the first time it meets a
+    new count. *)
+
+val start_pause :
+  t -> write_cache:Write_cache.t option -> start_ns:float -> unit
+(** Begin a pause at [start_ns]: every thread's stack, clock, counters
+    and destination state, the slot pool, the pair table, the crash-point
+    counter and the flushed-shadow record return to their initial
+    values, whatever the previous pause (completed or crashed) left. *)
+
+val end_pause : t -> unit
+(** Once a completed pause's statistics are read: clear its state, as the
+    next {!start_pause} would, so nothing of it stays alive between
+    pauses, and drop scratch buffers a large pause grew. *)
 
 val threads : t -> thread array
 val old_addrs : t -> int Simstats.Vec.t

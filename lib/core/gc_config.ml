@@ -87,15 +87,46 @@ let header_map_entries t = max 64 (t.header_map_bytes / header_map_entry_bytes)
 
 let header_map_active t = t.header_map && t.threads >= t.header_map_min_threads
 
+(** Reject the values the collector cannot run with.  Sizes a collector
+    legitimately rounds up stay valid: a header map below 64 entries is
+    sized to 64, and a write-cache limit of [Some 0] means "no cache
+    region at all". *)
+let validate t =
+  let bad field fmt = Printf.ksprintf (fun why -> Error (field ^ " " ^ why)) fmt in
+  let negative field v = bad field "= %d, must be >= 0" v in
+  if t.threads < 1 then bad "threads" "= %d, must be >= 1" t.threads
+  else if not (Float.is_finite t.pause_overhead_ns && t.pause_overhead_ns >= 0.0)
+  then
+    bad "pause_overhead_ns" "= %g, must be finite and >= 0" t.pause_overhead_ns
+  else if t.steal_chunk < 1 then
+    bad "steal_chunk" "= %d, must be >= 1" t.steal_chunk
+  else if t.search_bound < 0 then negative "search_bound" t.search_bound
+  else if t.lab_bytes < 0 then negative "lab_bytes" t.lab_bytes
+  else if t.direct_copy_threshold < 0 then
+    negative "direct_copy_threshold" t.direct_copy_threshold
+  else if t.header_map_bytes < 0 then
+    negative "header_map_bytes" t.header_map_bytes
+  else
+    match t.write_cache_limit_bytes with
+    | Some limit when limit < 0 -> negative "write_cache_limit_bytes" limit
+    | Some _ | None -> Ok t
+
+(* Read once, at start-up: [verify_active] runs on every pause, and the
+   variable is a process-level switch (the [@verify] alias sets it for
+   the whole test binary).  Not a [lazy]: pauses on several domains
+   would force it concurrently, which raises [Lazy.Undefined]. *)
+let verify_override =
+  match Sys.getenv_opt "NVMGC_VERIFY" with
+  | Some ("0" | "false" | "off") -> Some false
+  | Some _ -> Some true
+  | None -> None
+
 (** Whether verification should run for this configuration.  The
     [NVMGC_VERIFY] environment variable overrides the config: "0",
     "false" or "off" forces it off; any other non-empty value forces it
     on (the [@verify] build alias sets it to "1"). *)
 let verify_active t =
-  match Sys.getenv_opt "NVMGC_VERIFY" with
-  | Some ("0" | "false" | "off") -> false
-  | Some _ -> true
-  | None -> t.verify
+  match verify_override with Some v -> v | None -> t.verify
 
 let flush_mode_name = function Sync -> "sync" | Async -> "async"
 

@@ -47,10 +47,20 @@ val header_map_active : t -> bool
 (** True when the header map is enabled {e and} the thread count reaches
     [header_map_min_threads] (the paper's gating). *)
 
+val validate : t -> (t, string) result
+(** [Ok t] when the collector can run [t]; otherwise [Error] naming the
+    first offending field and its value.  Rejected: [threads < 1], a
+    [pause_overhead_ns] that is negative or not finite, [steal_chunk < 1],
+    and a negative [search_bound], [lab_bytes], [direct_copy_threshold],
+    [header_map_bytes] or write-cache limit.  A header map smaller than
+    64 entries stays valid (it is sized up to 64), as does a write-cache
+    limit of [Some 0]. *)
+
 val verify_active : t -> bool
 (** Whether verification runs for this configuration.  The [NVMGC_VERIFY]
     environment variable overrides the config field: "0" / "false" /
-    "off" forces it off, any other non-empty value forces it on. *)
+    "off" forces it off, any other non-empty value forces it on.  The
+    variable is read once per process. *)
 
 val flush_mode_name : flush_mode -> string
 val collector_name : collector -> string

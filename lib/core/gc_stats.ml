@@ -78,6 +78,18 @@ let create_totals () =
     reservoir = Simstats.Percentile.create_reservoir ();
   }
 
+let reset_totals t =
+  t.pauses <- 0;
+  t.total_pause_ns <- 0.0;
+  t.max_pause_ns <- 0.0;
+  t.total_traverse_ns <- 0.0;
+  t.total_flush_ns <- 0.0;
+  t.objects_copied <- 0;
+  t.bytes_copied <- 0;
+  t.nvm_bytes <- 0.0;
+  t.weighted_bw_mbps <- 0.0;
+  Simstats.Percentile.clear_reservoir t.reservoir
+
 (* Feed the telemetry metrics registry (no-ops when none is installed).
    Durations are histogrammed in ns, traffic in bytes, so the §3.1-style
    distributions can be read straight out of a --metrics dump. *)

@@ -45,6 +45,9 @@ type totals = {
 
 val create_totals : unit -> totals
 
+val reset_totals : totals -> unit
+(** Back to the state of [create_totals]: no pauses, no samples. *)
+
 val add : totals -> pause -> unit
 (** Fold a pause into the totals.  Also feeds the telemetry metrics
     registry ({!Nvmtrace.Hooks}) when one is installed — pure

@@ -34,10 +34,11 @@ let entry_bytes = Gc_config.header_map_entry_bytes
 (** Simulated DRAM address of entry [idx], for cache/cost accounting. *)
 let entry_addr idx = Simheap.Layout.header_map_base + (idx * entry_bytes)
 
+let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
+
 let create ~entries ~search_bound =
   if entries <= 0 then invalid_arg "Header_map.create: entries <= 0";
-  let rec pow2 acc = if acc >= entries then acc else pow2 (acc * 2) in
-  let size = pow2 64 in
+  let size = pow2_at_least entries 64 in
   {
     keys = Array.init size (fun _ -> Atomic.make 0);
     values = Array.init size (fun _ -> Atomic.make 0);
@@ -48,6 +49,11 @@ let create ~entries ~search_bound =
   }
 
 let size t = t.mask + 1
+
+(** Whether [create ~entries ~search_bound] would build a table of this
+    one's geometry. *)
+let fits t ~entries ~search_bound =
+  t.search_bound = search_bound && size t = pow2_at_least entries 64
 
 let occupied t = Atomic.get t.occupied
 
@@ -209,3 +215,10 @@ let clear_range t ~lo ~hi =
   done
 
 let clear t = clear_range t ~lo:0 ~hi:(size t)
+
+(** Back to the state of [create]: empty, with no probe count latched.
+    A crashed pause leaves entries behind, which a reused collector must
+    not inherit. *)
+let reset t =
+  if occupied t <> 0 then clear t;
+  t.last_probes <- 0

@@ -12,6 +12,10 @@ val create : entries:int -> search_bound:int -> t
 
 val size : t -> int
 
+val fits : t -> entries:int -> search_bound:int -> bool
+(** Whether [create ~entries ~search_bound] would build a table of this
+    one's size and probe bound (so a reset one can stand in for it). *)
+
 val occupied : t -> int
 (** Number of claimed entries (the occupancy counter's raw value). *)
 
@@ -61,3 +65,6 @@ val last_probes : t -> int
 
 val clear_range : t -> lo:int -> hi:int -> unit
 val clear : t -> unit
+
+val reset : t -> unit
+(** {!clear}, and forget the last probe count: the state of [create]. *)

@@ -32,10 +32,13 @@
 type t = {
   pick_thread : runnable:int array -> int;
       (** index into [runnable] (thread ids able to pop or steal right
-          now, ascending); the engine clamps out-of-range values *)
+          now, ascending); the engine clamps out-of-range values.  The
+          array is an engine buffer refilled every step, so a schedule
+          reads it during the call and never keeps it *)
   pick_victim : thief:int -> victims:int array -> int;
       (** index into [victims] (thread ids with >= 2 stacked items,
-          ascending, never the thief); clamped likewise *)
+          ascending, never the thief); clamped likewise, and likewise a
+          reused buffer *)
   defer_region_grab : tid:int -> bool;
       (** [true]: do not take a fresh write-cache pair for this copy *)
   force_hm_fallback : tid:int -> bool;

@@ -12,10 +12,13 @@
 type t = {
   pick_thread : runnable:int array -> int;
       (** index into [runnable] (thread ids able to pop or steal,
-          ascending); out-of-range values are clamped by the engine *)
+          ascending); out-of-range values are clamped by the engine.
+          The array is an engine buffer refilled every step: read it
+          during the call, never keep it *)
   pick_victim : thief:int -> victims:int array -> int;
       (** index into [victims] (thread ids with >= 2 stacked items,
-          ascending, excluding the thief); clamped likewise *)
+          ascending, excluding the thief); clamped likewise, and the
+          array is likewise a reused buffer *)
   defer_region_grab : tid:int -> bool;
       (** copy directly to NVM instead of taking a fresh cache pair *)
   force_hm_fallback : tid:int -> bool;

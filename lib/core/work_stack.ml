@@ -45,6 +45,17 @@ let create_pool () =
     proots = Simstats.Vec.create dummy_root;
   }
 
+(* A collector keeps its pool and stacks across pauses.  Buffers up to
+   this many slots are kept (a fuzz pause never outgrows them); a larger
+   one, grown by a sweep's pause, is dropped rather than held through
+   the mutator phase that follows. *)
+let kept_capacity = 1024
+
+(* Forget every registration. *)
+let clear_pool pool =
+  Simstats.Vec.clear_to pool.holders ~capacity:kept_capacity;
+  Simstats.Vec.clear_to pool.proots ~capacity:kept_capacity
+
 let register_holder pool obj =
   Simstats.Vec.push pool.holders obj;
   Simstats.Vec.length pool.holders - 1
@@ -103,7 +114,9 @@ type t = {
   mutable stolen_from_count : int;
 }
 
-let initial_capacity = 64
+(* Small: a collector keeps its stacks for life (and a fuzz domain keeps
+   dozens of collectors), while [grow] doubles a stack that needs more. *)
+let initial_capacity = 16
 
 let create () =
   {
@@ -116,6 +129,20 @@ let create () =
     pops = 0;
     stolen_from_count = 0;
   }
+
+(* Empty, with fresh counters, as [create] leaves it; the slot arrays
+   keep a capacity up to [kept_capacity] (no query sees it). *)
+let reset t =
+  if Array.length t.slots > kept_capacity then begin
+    t.slots <- Array.make initial_capacity no_slot;
+    t.homes <- Array.make initial_capacity no_home
+  end;
+  t.len <- 0;
+  t.popped_home_ <- no_home;
+  t.last_push_clock <- 0.0;
+  t.pushes <- 0;
+  t.pops <- 0;
+  t.stolen_from_count <- 0
 
 let length t = t.len
 let is_empty t = t.len = 0

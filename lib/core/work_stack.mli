@@ -29,6 +29,13 @@ type pool
 
 val create_pool : unit -> pool
 
+val kept_capacity : int
+(** Scratch buffers up to this many slots survive {!clear_pool} and
+    {!reset}; larger ones are dropped for fresh small ones. *)
+
+val clear_pool : pool -> unit
+(** Forget every registered holder and root (a new pause's pool). *)
+
 val register_holder : pool -> Simheap.Objmodel.t -> int
 (** Register a holder object whose fields are about to be pushed;
     returns the holder index to feed {!field_slot}. *)
@@ -60,6 +67,11 @@ val slot_holder : pool -> int -> Simheap.Objmodel.t
 type t
 
 val create : unit -> t
+
+val reset : t -> unit
+(** Empty the stack and zero its counters and push clock, as {!create}
+    leaves it. *)
+
 val length : t -> int
 val is_empty : t -> bool
 

@@ -28,7 +28,7 @@ type pair = {
 }
 
 type t = {
-  heap : Simheap.Heap.t;
+  mutable heap : Simheap.Heap.t;
   limit_bytes : int option;
   mutable allocated_bytes : int;
   mutable exhausted : bool;
@@ -53,6 +53,15 @@ let create heap ~limit_bytes =
     pairs = Simstats.Vec.create dummy_pair;
     direct_bytes = 0;
   }
+
+(* A new pause's cache, as [create heap ~limit_bytes] with the same
+   limit: a collector keeps one write cache for all its pauses. *)
+let reset t ~heap =
+  t.heap <- heap;
+  t.allocated_bytes <- 0;
+  t.exhausted <- false;
+  Simstats.Vec.clear t.pairs;
+  t.direct_bytes <- 0
 
 let limit_reached t =
   match t.limit_bytes with
@@ -133,6 +142,7 @@ let complete_flush t pair =
   Simheap.Heap.release_cache_region t.heap pair.cache
 
 let pairs t = t.pairs
+let limit_bytes t = t.limit_bytes
 let allocated_bytes t = t.allocated_bytes
 let direct_bytes t = t.direct_bytes
 

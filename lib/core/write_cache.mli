@@ -17,6 +17,12 @@ type t
 val create : Simheap.Heap.t -> limit_bytes:int option -> t
 (** [limit_bytes = None] removes the upper bound ("sync-unlimited"). *)
 
+val limit_bytes : t -> int option
+
+val reset : t -> heap:Simheap.Heap.t -> unit
+(** Empty the cache and bind it to [heap]: the state of
+    [create heap ~limit_bytes] with the limit it was created with. *)
+
 val new_pair : t -> pair option
 (** Allocate a fresh (cache, shadow) pair; [None] once the cache budget
     or the DRAM scratch pool is exhausted — callers then copy directly to

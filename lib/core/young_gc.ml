@@ -18,34 +18,90 @@ module Log = (val Logs.src_log Nvmtrace.Console.src : Logs.LOG)
 module Phases_log = (val Logs.src_log Nvmtrace.Console.phases_src : Logs.LOG)
 
 type t = {
-  heap : Simheap.Heap.t;
-  memory : Memsim.Memory.t;
-  config : Gc_config.t;
-  schedule : Schedule.t option;
+  mutable heap : Simheap.Heap.t;
+  mutable memory : Memsim.Memory.t;
+  mutable config : Gc_config.t;
+  mutable schedule : Schedule.t option;
       (** simulation-testing seam handed to every pause's evacuation
           engine; [None] = the deterministic min-clock policy *)
-  header_map : Header_map.t option;
+  mutable header_map : Header_map.t option;
       (** allocated once and reused across pauses, as in the paper *)
+  mutable write_cache : Write_cache.t option;
+      (** emptied at the start of every pause *)
+  mutable last_header_map : Header_map.t option;
+  mutable last_write_cache : Write_cache.t option;
+      (** the most recent of each this collector built, kept through
+          configurations without one so a later {!reset} can reuse it *)
+  evac : Evacuation.t;  (** the engine every pause reuses *)
   totals : Gc_stats.totals;
 }
 
+let validated who config =
+  match Gc_config.validate config with
+  | Ok c -> c
+  | Error msg -> invalid_arg (who ^ ": " ^ msg)
+
+(* The header map [config] asks for, reusing [old] when it has the same
+   geometry. *)
+let header_map_for ?old (config : Gc_config.t) =
+  if Gc_config.header_map_active config then
+    let entries = Gc_config.header_map_entries config in
+    let search_bound = config.Gc_config.search_bound in
+    match old with
+    | Some m when Header_map.fits m ~entries ~search_bound -> old
+    | Some _ | None -> Some (Header_map.create ~entries ~search_bound)
+  else None
+
+let write_cache_for ?old heap (config : Gc_config.t) =
+  if config.Gc_config.write_cache then
+    let limit_bytes = config.Gc_config.write_cache_limit_bytes in
+    match old with
+    | Some wc when Write_cache.limit_bytes wc = limit_bytes -> old
+    | Some _ | None -> Some (Write_cache.create heap ~limit_bytes)
+  else None
+
 let create ?schedule ~heap ~memory (config : Gc_config.t) =
-  let header_map =
-    if Gc_config.header_map_active config then
-      Some
-        (Header_map.create
-           ~entries:(Gc_config.header_map_entries config)
-           ~search_bound:config.Gc_config.search_bound)
-    else None
-  in
+  let config = validated "Young_gc.create" config in
+  let header_map = header_map_for config in
+  let write_cache = write_cache_for heap config in
   {
     heap;
     memory;
     config;
     schedule;
     header_map;
+    write_cache;
+    last_header_map = header_map;
+    last_write_cache = write_cache;
+    evac = Evacuation.create ~schedule ~heap ~memory ~config ~header_map ();
     totals = Gc_stats.create_totals ();
   }
+
+(* Rebinding in place what [create] would build afresh, reusing whatever
+   the new configuration shares with the old one (thread records, stacks,
+   a header map of the same geometry, a write cache of the same limit).
+   The per-pause state is re-initialised by every [collect] too, but
+   clearing it here means an idle pooled collector keeps none of its last
+   run's objects alive; what else outlives a pause is the header map (a
+   crashed pause leaves entries in it) and the totals. *)
+let reset ?schedule ?config t ~heap ~memory =
+  (match config with
+  | Some c when c <> t.config ->
+      let c = validated "Young_gc.reset" c in
+      t.header_map <- header_map_for ?old:t.last_header_map c;
+      t.write_cache <- write_cache_for ?old:t.last_write_cache heap c;
+      if Option.is_some t.header_map then t.last_header_map <- t.header_map;
+      if Option.is_some t.write_cache then t.last_write_cache <- t.write_cache;
+      t.config <- c
+  | Some _ | None -> ());
+  t.heap <- heap;
+  t.memory <- memory;
+  t.schedule <- schedule;
+  Evacuation.rebind t.evac ~schedule ~heap ~memory ~config:t.config
+    ~header_map:t.header_map;
+  Option.iter (fun wc -> Write_cache.reset wc ~heap) t.write_cache;
+  Option.iter Header_map.reset t.header_map;
+  Gc_stats.reset_totals t.totals
 
 let totals t = t.totals
 let header_map t = t.header_map
@@ -199,18 +255,9 @@ let collect t ~now_ns =
      device-independent prologue every STW pause pays. *)
   let now_ns = now_ns +. t.config.Gc_config.pause_overhead_ns in
   let before = Memsim.Memory.snapshot t.memory in
-  let write_cache =
-    if t.config.Gc_config.write_cache then
-      Some
-        (Write_cache.create t.heap
-           ~limit_bytes:t.config.Gc_config.write_cache_limit_bytes)
-    else None
-  in
-  let evac =
-    Evacuation.create ~schedule:t.schedule ~heap:t.heap
-      ~memory:t.memory ~config:t.config ~header_map:t.header_map ~write_cache
-      ~start_ns:now_ns ()
-  in
+  Option.iter (fun wc -> Write_cache.reset wc ~heap:t.heap) t.write_cache;
+  let evac = t.evac in
+  Evacuation.start_pause evac ~write_cache:t.write_cache ~start_ns:now_ns;
   seed_work t evac;
   let traverse_end = Evacuation.run evac in
   let threads = Evacuation.threads evac in
@@ -236,7 +283,24 @@ let collect t ~now_ns =
   (* The pause is over: traffic reverts to the mutator. *)
   Memsim.Memory.set_cause t.memory Nvmtrace.Recorder.Mutator;
   let after = Memsim.Memory.snapshot t.memory in
-  let sum f = Array.fold_left (fun acc th -> acc + f th) 0 threads in
+  (* The per-thread counters, summed in one pass. *)
+  let objects_copied = ref 0 and bytes_copied = ref 0 and bytes_cached = ref 0
+  and bytes_direct = ref 0 and refs_processed = ref 0 and hm_installs = ref 0
+  and hm_hits = ref 0 and hm_fallbacks = ref 0 and async_flushes = ref 0
+  and steals = ref 0 in
+  for i = 0 to Array.length threads - 1 do
+    let th = threads.(i) in
+    objects_copied := !objects_copied + th.Evacuation.objects_copied;
+    bytes_copied := !bytes_copied + th.Evacuation.bytes_copied;
+    bytes_cached := !bytes_cached + th.Evacuation.bytes_cached;
+    bytes_direct := !bytes_direct + th.Evacuation.bytes_direct;
+    refs_processed := !refs_processed + th.Evacuation.refs_processed;
+    hm_installs := !hm_installs + th.Evacuation.hm_installs;
+    hm_hits := !hm_hits + th.Evacuation.hm_hits;
+    hm_fallbacks := !hm_fallbacks + th.Evacuation.hm_fallbacks;
+    async_flushes := !async_flushes + th.Evacuation.async_flushes;
+    steals := !steals + th.Evacuation.steals
+  done;
   let overhead = t.config.Gc_config.pause_overhead_ns in
   let pause : Gc_stats.pause =
     {
@@ -244,18 +308,18 @@ let collect t ~now_ns =
       traverse_ns = traverse_end -. now_ns +. overhead;
       flush_ns = flush_end -. traverse_end;
       cleanup_ns = cleanup_end -. flush_end;
-      objects_copied = sum (fun th -> th.Evacuation.objects_copied);
-      bytes_copied = sum (fun th -> th.Evacuation.bytes_copied);
-      bytes_cached = sum (fun th -> th.Evacuation.bytes_cached);
-      bytes_direct = sum (fun th -> th.Evacuation.bytes_direct);
-      refs_processed = sum (fun th -> th.Evacuation.refs_processed);
-      header_map_installs = sum (fun th -> th.Evacuation.hm_installs);
-      header_map_hits = sum (fun th -> th.Evacuation.hm_hits);
-      header_map_fallbacks = sum (fun th -> th.Evacuation.hm_fallbacks);
+      objects_copied = !objects_copied;
+      bytes_copied = !bytes_copied;
+      bytes_cached = !bytes_cached;
+      bytes_direct = !bytes_direct;
+      refs_processed = !refs_processed;
+      header_map_installs = !hm_installs;
+      header_map_hits = !hm_hits;
+      header_map_fallbacks = !hm_fallbacks;
       header_map_occupancy = hm_occupancy;
-      async_flushes = sum (fun th -> th.Evacuation.async_flushes);
+      async_flushes = !async_flushes;
       sync_flushes;
-      steals = sum (fun th -> th.Evacuation.steals);
+      steals = !steals;
       idle_ns;
       traffic = Memsim.Memory.diff ~before ~after;
       breakdown =
@@ -266,6 +330,8 @@ let collect t ~now_ns =
               0.0 threads);
     }
   in
+  (* Every per-thread figure is in the pause record now. *)
+  Evacuation.end_pause evac;
   Gc_stats.add t.totals pause;
   let gc_n = t.totals.Gc_stats.pauses in
   (* Continuous-recorder feeds: per-pause derived series on the simulated

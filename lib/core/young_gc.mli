@@ -12,9 +12,32 @@ val create :
   Gc_config.t ->
   t
 (** The header map (when active for this configuration) is allocated once
-    and reused across pauses, as in the paper.  [schedule] is handed to
-    every pause's evacuation engine (the simulation-testing seam); without
-    it pauses run under the deterministic min-clock policy. *)
+    and reused across pauses, as in the paper; so are the evacuation
+    engine and the write cache.  [schedule] is handed to every pause's
+    evacuation engine (the simulation-testing seam); without it pauses run
+    under the deterministic min-clock policy.
+
+    @raise Invalid_argument naming the field when
+    {!Gc_config.validate} rejects the configuration. *)
+
+val reset :
+  ?schedule:Schedule.t ->
+  ?config:Gc_config.t ->
+  t ->
+  heap:Simheap.Heap.t ->
+  memory:Memsim.Memory.t ->
+  unit
+(** Rebind the collector to [heap], [memory], [schedule] and [config]
+    (default: its current one) and return it to a state no query can
+    tell apart from [create ?schedule ~heap ~memory config]: empty header
+    map, zero totals, and every pause's engine state re-initialised as
+    usual — whether the previous pause completed, crashed or failed
+    verification.  Thread records, work stacks, and a header map or
+    write cache the new configuration can share are reused, not
+    reallocated.
+
+    @raise Invalid_argument naming the field when
+    {!Gc_config.validate} rejects [config]. *)
 
 val totals : t -> Gc_stats.totals
 val header_map : t -> Header_map.t option

@@ -114,14 +114,21 @@ let max_ways = 63
 
 (* Initial state of set [s]: no line resident, distinct negative stamps,
    zero hint, masks and touched flag, every fingerprint lane absent. *)
+(* Plain loops rather than [Array.fill]: a set is a dozen words, and
+   {!reset} re-initialises every touched set of a fuzz run's memory, where
+   three C calls per set cost more than the stores. *)
 let init_set ~ways ~wshift ~mshift ~fp_words tags stamp meta s =
   let tb = s lsl wshift and mb = s lsl mshift in
-  Array.fill tags tb ways (-1);
   for i = 0 to ways - 1 do
+    tags.(tb + i) <- -1;
     stamp.(tb + i) <- -i
   done;
-  Array.fill meta mb m_fps 0;
-  Array.fill meta (mb + m_fps) fp_words fp_absent_word
+  for i = 0 to m_fps - 1 do
+    meta.(mb + i) <- 0
+  done;
+  for i = 0 to fp_words - 1 do
+    meta.(mb + m_fps + i) <- fp_absent_word
+  done
 
 let create ~capacity_bytes ~ways =
   if ways < 1 || ways > max_ways then

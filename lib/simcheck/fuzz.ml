@@ -156,52 +156,89 @@ let crash_schedule tamper sched_seed =
   in
   match tamper with None -> base | Some k -> Sched.with_tamper k base
 
-(* One memory model per domain, reused through [Memory.reset]: a fresh
-   [create] allocates the whole default LLC (about 20k words straight
-   into the major heap) for a heap of a few dozen objects.  A run takes
-   the memory out of the slot and puts it back only when it returns
-   normally, so a nested run or one that raised falls back to [create],
-   and two runs never share a memory. *)
-let pooled_memory : Memsim.Memory.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* What one execution needs besides its spec, reused per domain: a fresh
+   memory allocates the whole default LLC (about 20k words straight into
+   the major heap), a fresh heap its region table, a fresh collector its
+   header map, engine, work stacks and thread records — all for a heap of
+   a few dozen objects.  Each goes back into its slot returned to a state
+   no query can tell from a fresh one ([Memory.reset], [Heap.reset],
+   [Young_gc.reset]), so an idle pooled object keeps nothing of its last
+   run alive: the objects of a run die young.  One memory and one
+   collector serve every run (a reset collector takes the run's
+   configuration); heaps are keyed by their geometry, structurally: a key
+   is rebuilt for every run, so physical equality would never match.  A
+   run takes its objects out of their slots and puts them back only when
+   it returns normally, so a nested run or one that raised builds fresh
+   ones, and two runs never share an object. *)
+type 'a slot = 'a option ref
 
-let take_memory () =
-  match Domain.DLS.get pooled_memory with
-  | None -> Memsim.Memory.create Memsim.Memory.default_config
-  | Some m ->
-      Domain.DLS.set pooled_memory None;
-      Memsim.Memory.reset m;
-      m
+type pool = {
+  memory : Memsim.Memory.t slot;
+  collector : Nvmgc.Young_gc.t slot;
+  heaps : (Simheap.Heap.config, Simheap.Heap.t slot) Hashtbl.t;
+}
 
-(* The one execution primitive: instantiate [spec] on a fresh heap,
-   collect once under [v] (verification hooks armed) and map verifier,
-   oracle and evacuation failures to messages.  With [crash_step], the
-   pause is killed at that crash point with durability tracking armed,
-   and the frozen heap + NVM image is held to the {!Recovery}
-   obligations.  [Ok None]: the crash was recoverable.  The memory
-   model stays inside: the result carries no reference to it. *)
-let execute ?schedule ?crash_step ~spec ~threads (v : variant) =
-  let inst = Spec.instantiate spec in
-  let memory = take_memory () in
+let pool_key : pool Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { memory = ref None; collector = ref None; heaps = Hashtbl.create 8 })
+
+let keyed_slot tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some slot -> slot
+  | None ->
+      let slot = ref None in
+      Hashtbl.add tbl key slot;
+      slot
+
+(* Empty [slot] and hand out what it held, or [None]. *)
+let take slot =
+  let held = !slot in
+  slot := None;
+  held
+
+(* The one execution primitive: instantiate [spec] on a reset heap,
+   collect once under [v] (verification hooks armed), pass the live
+   instance and the pause to [finish], and map verifier, oracle and
+   evacuation failures to messages.  With [crash_step], the pause is
+   killed at that crash point with durability tracking armed, and the
+   frozen heap + NVM image is held to the {!Recovery} obligations
+   against the pre-pause graph, which [pre] caches across the runs of
+   one spec (instantiation does not depend on the variant).
+   [Ok None]: the crash was recoverable.  The pooled heap, memory and
+   collector stay inside: [finish] is the last to see them, and the
+   result must carry no reference to them. *)
+let execute ?schedule ?crash_step ?(pre = ref None) ~spec ~threads ~finish
+    (v : variant) =
+  let pool = Domain.DLS.get pool_key in
+  let heap_slot = keyed_slot pool.heaps (Spec.heap_config spec) in
+  let inst = Spec.instantiate ?heap:(take heap_slot) spec in
+  let memory =
+    match take pool.memory with
+    | Some m -> m
+    | None -> Memsim.Memory.create Memsim.Memory.default_config
+  in
   let schedule, pre =
     match crash_step with
     | None -> (schedule, None)
     | Some crash_step ->
         Memsim.Memory.set_durability_tracking memory true;
-        ( Option.map (Sched.with_crash ~crash_step) schedule,
-          Some (G.capture inst.Spec.heap) )
+        if Option.is_none !pre then pre := Some (G.capture inst.Spec.heap);
+        (Option.map (Sched.with_crash ~crash_step) schedule, !pre)
   in
+  let heap = inst.Spec.heap in
+  let config = v.make ~threads in
   let gc =
-    Nvmgc.Young_gc.create ?schedule ~heap:inst.Spec.heap ~memory
-      (v.make ~threads)
+    match take pool.collector with
+    | Some gc ->
+        Nvmgc.Young_gc.reset ?schedule ~config gc ~heap ~memory;
+        gc
+    | None -> Nvmgc.Young_gc.create ?schedule ~heap ~memory config
   in
   let result =
     match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
-    | pause -> Ok (Some (inst, pause))
+    | pause -> Ok (Some (finish inst pause))
     | exception Nvmgc.Evacuation.Crashed st -> (
-        match
-          Recovery.check ~pre:(Option.get pre) ~heap:inst.Spec.heap ~memory st
-        with
+        match Recovery.check ~pre:(Option.get pre) ~heap ~memory st with
         | [] -> Ok None
         | msgs ->
             Error
@@ -213,20 +250,34 @@ let execute ?schedule ?crash_step ~spec ~threads (v : variant) =
     | exception Nvmgc.Evacuation.Evacuation_failure msg ->
         Error [ "evacuation failure: " ^ msg ]
   in
-  Domain.DLS.set pooled_memory (Some memory);
+  Simheap.Heap.reset heap;
+  Memsim.Memory.reset memory;
+  Nvmgc.Young_gc.reset gc ~heap ~memory;
+  pool.memory := Some memory;
+  pool.collector := Some gc;
+  heap_slot := Some heap;
   result
 
+(* The differential campaign's schedule: seed 0 is the min-clock engine. *)
+let differential_schedule sched_seed =
+  if sched_seed = 0 then None else Some (Sched.of_seed sched_seed)
+
+(* Mutation-testing seam: corrupt the post-pause heap of selected
+   variants before the graph is read, so tests can inject a deterministic
+   differential failure. *)
+let apply_tamper tamper (v : variant) inst =
+  match tamper with Some f -> f v.name inst | None -> ()
+
 let run_variant ?tamper ~spec ~threads ~sched_seed (v : variant) =
-  let schedule =
-    if sched_seed = 0 then None else Some (Sched.of_seed sched_seed)
+  let finish inst pause =
+    apply_tamper tamper v inst;
+    (G.capture inst.Spec.heap, pause)
   in
-  match execute ?schedule ~spec ~threads v with
-  | Ok (Some (inst, pause)) ->
-      (* Mutation-testing seam: corrupt the post-pause heap of selected
-         variants before the graph capture, so tests can inject a
-         deterministic differential failure. *)
-      (match tamper with Some f -> f v.name inst | None -> ());
-      Ok (G.capture inst.Spec.heap, pause)
+  match
+    execute ?schedule:(differential_schedule sched_seed) ~spec ~threads ~finish
+      v
+  with
+  | Ok (Some r) -> Ok r
   | Ok None -> assert false (* no crash step, so no crash *)
   | Error msgs -> Error msgs
 
@@ -244,10 +295,11 @@ let run_case mode ~variants (case : case) =
   let crash_rng =
     lazy (Simstats.Prng.create (case.heap_seed lxor 0x6b43a9b1))
   in
+  let pre = ref None in
   let crash_at tamper (v : variant) step =
     match
       execute ~schedule:(crash_schedule tamper sched_seed) ~crash_step:step
-        ~spec ~threads v
+        ~pre ~spec ~threads ~finish:(fun _ _ -> ()) v
     with
     | Ok _ -> ()
     | Error msgs -> fail v (Some step) msgs
@@ -257,21 +309,36 @@ let run_case mode ~variants (case : case) =
       (fun (v : variant) ->
         match mode with
         | Differential tamper -> (
-            match run_variant ?tamper ~spec ~threads ~sched_seed v with
+            (* The first variant's graph is the reference; every later
+               one is compared against it in place, on its live heap. *)
+            let finish inst pause =
+              apply_tamper tamper v inst;
+              let heap = inst.Spec.heap in
+              match !reference with
+              | None ->
+                  reference := Some (v.name, G.capture heap);
+                  (pause, [])
+              | Some _ when Option.is_some !failure -> (pause, [])
+              | Some (ref_name, ref_g) -> (
+                  match G.diff_heap ~expected:ref_g heap with
+                  | [] -> (pause, [])
+                  | d ->
+                      ( pause,
+                        Printf.sprintf "live-graph mismatch against %s:"
+                          ref_name
+                        :: d ))
+            in
+            match
+              execute
+                ?schedule:(differential_schedule sched_seed)
+                ~spec ~threads ~finish v
+            with
             | Error msgs ->
                 fail v None msgs;
                 None
-            | Ok (g, pause) ->
-                (match !reference with
-                | None -> reference := Some (v.name, g)
-                | Some (ref_name, ref_g) ->
-                    if Option.is_none !failure then
-                      let d = G.diff ~expected:ref_g ~got:g in
-                      if d <> [] then
-                        fail v None
-                          (Printf.sprintf "live-graph mismatch against %s:"
-                             ref_name
-                          :: d));
+            | Ok None -> assert false (* no crash step, so no crash *)
+            | Ok (Some (pause, mismatch)) ->
+                if mismatch <> [] then fail v None mismatch;
                 Some pause)
         | Crash { forced_step = Some step; tamper } ->
             crash_at tamper v step;
@@ -285,7 +352,11 @@ let run_case mode ~variants (case : case) =
             let schedule, count =
               Sched.counting (crash_schedule tamper sched_seed)
             in
-            match execute ~schedule ~spec ~threads v with
+            match
+              execute ~schedule ~spec ~threads
+                ~finish:(fun _ pause -> pause)
+                v
+            with
             | Error msgs ->
                 fail v None msgs;
                 None
@@ -298,7 +369,7 @@ let run_case mode ~variants (case : case) =
                   List.iter (crash_at tamper v)
                     (if drawn = total then [ drawn ] else [ drawn; total ])
                 end;
-                Option.map snd probe))
+                probe))
       variants
   in
   (pauses, !failure)

@@ -86,55 +86,81 @@ type instance = { heap : H.t; objects : O.t array; holders : O.t array }
 
 let anchor_target = function Root i | Remset i -> i
 
+(* The sizing passes run once per fuzz execution: plain loops with
+   [Int.max] (the polymorphic [max] is a C compare call in this build). *)
 let remset_count (spec : t) =
-  Array.fold_left
-    (fun acc -> function Remset _ -> acc + 1 | Root _ -> acc)
-    0 spec.anchors
+  let n = ref 0 in
+  for i = 0 to Array.length spec.anchors - 1 do
+    match spec.anchors.(i) with Remset _ -> incr n | Root _ -> ()
+  done;
+  !n
 
 let holders_needed (spec : t) =
-  let max_old =
-    Array.fold_left
-      (fun acc os ->
-        Array.fold_left
-          (fun acc -> function Old h -> max acc (h + 1) | Null | Young _ -> acc)
-          acc os.fields)
-      0 spec.objects
-  in
+  let max_old = ref 0 in
+  for i = 0 to Array.length spec.objects - 1 do
+    let fields = spec.objects.(i).fields in
+    for k = 0 to Array.length fields - 1 do
+      match fields.(k) with
+      | Old h -> max_old := Int.max !max_old (h + 1)
+      | Null | Young _ -> ()
+    done
+  done;
   let for_slots = (remset_count spec + holder_fields - 1) / holder_fields in
-  max 1 (max max_old for_slots)
+  Int.max 1 (Int.max !max_old for_slots)
 
 (* Mirror of the bump-allocation the heap performs, to size the region
    pool before creating it. *)
 let eden_regions_needed (spec : t) =
   let regions = ref 1 and remaining = ref region_bytes in
-  Array.iter
-    (fun os ->
-      if os.size > region_bytes then
-        failwith "Simcheck.Spec: object larger than a region";
-      if os.size > !remaining then begin
-        incr regions;
-        remaining := region_bytes
-      end;
-      remaining := !remaining - os.size)
-    spec.objects;
+  for i = 0 to Array.length spec.objects - 1 do
+    let size = spec.objects.(i).size in
+    if size > region_bytes then
+      failwith "Simcheck.Spec: object larger than a region";
+    if size > !remaining then begin
+      incr regions;
+      remaining := region_bytes
+    end;
+    remaining := !remaining - size
+  done;
   !regions
 
-let instantiate spec =
-  let n_holders = holders_needed spec in
+let geometry spec ~n_holders =
   let eden = eden_regions_needed spec in
   let holder_regions =
-    max 1 (((n_holders * holder_bytes) + region_bytes - 1) / region_bytes)
+    Int.max 1 (((n_holders * holder_bytes) + region_bytes - 1) / region_bytes)
   in
-  let config =
-    {
-      H.default_config with
-      H.region_bytes;
-      (* eden + worst-case survivor/shadow regions + holders + slack *)
-      heap_regions = (2 * eden) + holder_regions + 16;
-      dram_scratch_regions = eden + 16;
-    }
+  {
+    H.default_config with
+    H.region_bytes;
+    (* eden + worst-case survivor/shadow regions + holders + slack *)
+    heap_regions = (2 * eden) + holder_regions + 16;
+    dram_scratch_regions = eden + 16;
+  }
+
+let heap_config spec = geometry spec ~n_holders:(holders_needed spec)
+
+let instantiate ?heap spec =
+  let n_holders = holders_needed spec in
+  let config = geometry spec ~n_holders in
+  let heap =
+    match heap with
+    | None -> H.create config
+    | Some heap ->
+        let c = H.config heap in
+        if
+          c.H.heap_regions <> config.H.heap_regions
+          || c.H.dram_scratch_regions <> config.H.dram_scratch_regions
+          || c.H.region_bytes <> config.H.region_bytes
+          || c.H.heap_space <> config.H.heap_space
+          || c.H.young_space <> config.H.young_space
+        then invalid_arg "Simcheck.Spec.instantiate: heap of another geometry";
+        if
+          H.live_objects heap <> 0
+          || Simstats.Vec.length (H.roots heap) <> 0
+          || H.free_regions heap <> c.H.heap_regions
+        then invalid_arg "Simcheck.Spec.instantiate: heap not fresh or reset";
+        heap
   in
-  let heap = H.create config in
   let fresh_region kind =
     match H.alloc_region heap kind with
     | Some r -> r
@@ -162,17 +188,16 @@ let instantiate spec =
           ~nfields:(Array.length os.fields))
       spec.objects
   in
-  Array.iteri
-    (fun i os ->
-      Array.iteri
-        (fun k target ->
-          objects.(i).O.fields.(k) <-
-            (match target with
-            | Null -> Simheap.Layout.null
-            | Young j -> objects.(j).O.addr
-            | Old h -> holders.(h).O.addr))
-        os.fields)
-    spec.objects;
+  for i = 0 to Array.length spec.objects - 1 do
+    let targets = spec.objects.(i).fields and fields = objects.(i).O.fields in
+    for k = 0 to Array.length targets - 1 do
+      fields.(k) <-
+        (match targets.(k) with
+        | Null -> Simheap.Layout.null
+        | Young j -> objects.(j).O.addr
+        | Old h -> holders.(h).O.addr)
+    done
+  done;
   let cursor = ref 0 in
   Array.iter
     (fun anchor ->

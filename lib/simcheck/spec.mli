@@ -34,10 +34,17 @@ val generate : Simstats.Prng.t -> max_objects:int -> t
 type instance = { heap : Simheap.Heap.t; objects : Simheap.Objmodel.t array;
                   holders : Simheap.Objmodel.t array }
 
-val instantiate : t -> instance
+val heap_config : t -> Simheap.Heap.config
+(** The heap geometry {!instantiate} builds for the specification. *)
+
+val instantiate : ?heap:Simheap.Heap.t -> t -> instance
 (** Realize the specification on a fresh heap: old-space holder objects
     first, then the young objects in order (deterministic ids), then
-    fields, roots and remembered-set entries. *)
+    fields, roots and remembered-set entries.  With [heap], that heap is
+    used instead of a created one: it must be as {!Simheap.Heap.create}
+    or {!Simheap.Heap.reset} left it, with [heap_config spec] as its
+    {!Simheap.Heap.config}.
+    @raise Invalid_argument when [heap] visibly breaks either rule. *)
 
 val shrink : check:(t -> bool) -> budget:int ref -> t -> t
 (** Greedily minimize while [check] stays [true] ([check spec] must mean

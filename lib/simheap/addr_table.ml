@@ -24,6 +24,11 @@ type t = {
   mutable mask : int;  (** capacity - 1; capacity is a power of two *)
   mutable live : int;  (** bound keys *)
   mutable fill : int;  (** bound keys + tombstones *)
+  base_keys : int array;  (** the [initial_capacity] arrays {!clear} restores *)
+  base_vals : Objmodel.t array;
+  mutable spare : (int array * Objmodel.t array) list;
+      (** outgrown arrays of at most [max_spare_capacity] slots, handed
+          back to {!grow} after a {!clear} instead of reallocated *)
 }
 
 let empty_key = 0
@@ -44,13 +49,24 @@ let slot_of mask addr =
    ({!iter}) stay proportional to the heap rather than to the largest one. *)
 let initial_capacity = 64
 
+(* A table that is cleared and refilled (a pooled fuzz heap) regrows
+   through the same capacities every run; keeping the small outgrown
+   arrays makes that regrowth allocation-free.  Large tables (sweep heaps)
+   never clear, and the bound keeps them from retaining their history. *)
+let max_spare_capacity = 1024
+
 let create () =
+  let keys = Array.make initial_capacity empty_key in
+  let vals = Array.make initial_capacity Region.dummy_obj in
   {
-    keys = Array.make initial_capacity empty_key;
-    vals = Array.make initial_capacity Region.dummy_obj;
+    keys;
+    vals;
     mask = initial_capacity - 1;
     live = 0;
     fill = 0;
+    base_keys = keys;
+    base_vals = vals;
+    spare = [];
   }
 
 let length t = t.live
@@ -84,6 +100,15 @@ let rec insert_dest (keys : int array) mask (addr : int) i grave =
       ((i + 1) land mask)
       (if k = tombstone && grave < 0 then i else grave)
 
+(* Keep arrays the table has outgrown for its next regrowth after a
+   {!clear}, emptied first so that a spare holds no object alive. *)
+let retire t keys vals =
+  if keys != t.base_keys && Array.length keys <= max_spare_capacity then begin
+    Array.fill keys 0 (Array.length keys) empty_key;
+    Array.fill vals 0 (Array.length vals) Region.dummy_obj;
+    t.spare <- (keys, vals) :: t.spare
+  end
+
 let rec insert t addr obj =
   let keys = t.keys and mask = t.mask in
   let d = insert_dest keys mask addr (slot_of mask addr) (-1) in
@@ -105,14 +130,21 @@ and grow t =
     let c = t.mask + 1 in
     if t.live * 2 > c then c * 2 else c
   in
-  t.keys <- Array.make cap empty_key;
-  t.vals <- Array.make cap Region.dummy_obj;
+  (match List.find_opt (fun (k, _) -> Array.length k = cap) t.spare with
+  | Some ((k, v) as arrays) ->
+      t.spare <- List.filter (fun a -> a != arrays) t.spare;
+      t.keys <- k;
+      t.vals <- v
+  | None ->
+      t.keys <- Array.make cap empty_key;
+      t.vals <- Array.make cap Region.dummy_obj);
   t.mask <- cap - 1;
   t.live <- 0;
   t.fill <- 0;
   Array.iteri
     (fun i k -> if k <> empty_key && k <> tombstone then insert t k old_vals.(i))
-    old_keys
+    old_keys;
+  retire t old_keys old_vals
 
 let remove t addr =
   let i = find t addr in
@@ -123,6 +155,20 @@ let remove t addr =
   end
 
 let iter f t =
-  Array.iteri
-    (fun i k -> if k <> empty_key && k <> tombstone then f k t.vals.(i))
-    t.keys
+  let keys = t.keys and vals = t.vals in
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k <> empty_key && k <> tombstone then f k vals.(i)
+  done
+
+(* Back to the state of [create ()]: the same [initial_capacity] arrays,
+   all empty, so probe positions and {!iter} order match a fresh table. *)
+let clear t =
+  retire t t.keys t.vals;
+  Array.fill t.base_keys 0 initial_capacity empty_key;
+  Array.fill t.base_vals 0 initial_capacity Region.dummy_obj;
+  t.keys <- t.base_keys;
+  t.vals <- t.base_vals;
+  t.mask <- initial_capacity - 1;
+  t.live <- 0;
+  t.fill <- 0

@@ -22,4 +22,10 @@ val insert : t -> int -> Objmodel.t -> unit
 (** Bind (or rebind) an address. *)
 
 val remove : t -> int -> unit
+
+val clear : t -> unit
+(** Unbind everything and return to the capacity of {!create}, so probe
+    positions and {!iter} order are those of a fresh table.  Small arrays
+    the table outgrew are kept for its next growth. *)
+
 val iter : (int -> Objmodel.t -> unit) -> t -> unit

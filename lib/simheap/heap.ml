@@ -47,6 +47,14 @@ type t = {
 
 let dummy_root : Objmodel.root = { root_id = -1; target = Layout.null }
 
+let fill_free_lists t =
+  for i = t.config.heap_regions - 1 downto 0 do
+    Simstats.Vec.push t.free i
+  done;
+  for i = t.config.dram_scratch_regions - 1 downto 0 do
+    Simstats.Vec.push t.scratch_free i
+  done
+
 let create config =
   let region i =
     Region.create ~idx:i
@@ -79,13 +87,34 @@ let create config =
       next_root_id = 0;
     }
   in
-  for i = config.heap_regions - 1 downto 0 do
-    Simstats.Vec.push t.free i
-  done;
-  for i = config.dram_scratch_regions - 1 downto 0 do
-    Simstats.Vec.push t.scratch_free i
-  done;
+  fill_free_lists t;
   t
+
+(* Everything [create] sets, set again in place: regions empty, free and
+   back on their configured space, both free lists in creation order, the
+   address table at its initial capacity, no roots and both id counters
+   at zero.  Only backing-array capacities survive, and no query sees
+   those. *)
+let reset t =
+  Array.iter
+    (fun (r : Region.t) ->
+      Region.reset r;
+      r.Region.space <- t.config.heap_space)
+    t.regions;
+  Array.iter
+    (fun (r : Region.t) ->
+      Region.reset r;
+      r.Region.space <- Memsim.Access.Dram)
+    t.scratch;
+  Simstats.Vec.clear t.free;
+  Simstats.Vec.clear t.scratch_free;
+  fill_free_lists t;
+  Addr_table.clear t.addr_map;
+  Simstats.Vec.clear t.roots;
+  t.next_obj_id <- 0;
+  t.next_root_id <- 0
+
+let config t = t.config
 
 let region_bytes t = t.config.region_bytes
 
@@ -174,17 +203,18 @@ let unbind t addr = Addr_table.remove t.addr_map addr
 (** Allocate an object of [size] bytes with [nfields] (null) reference
     fields inside [region].  [None] when the region is full. *)
 let new_object t region ~size ~nfields =
-  match Region.alloc region size with
-  | None -> None
-  | Some addr ->
-      let obj =
-        Objmodel.make ~id:t.next_obj_id ~addr ~size
-          ~fields:(Array.make nfields Layout.null)
-      in
-      t.next_obj_id <- t.next_obj_id + 1;
-      Simstats.Vec.push region.Region.objs obj;
-      bind t addr obj;
-      Some obj
+  let addr = Region.try_alloc region size in
+  if addr < 0 then None
+  else begin
+    let obj =
+      Objmodel.make ~id:t.next_obj_id ~addr ~size
+        ~fields:(Array.make nfields Layout.null)
+    in
+    t.next_obj_id <- t.next_obj_id + 1;
+    Simstats.Vec.push region.Region.objs obj;
+    bind t addr obj;
+    Some obj
+  end
 
 let new_root t target =
   let root : Objmodel.root = { root_id = t.next_root_id; target } in
@@ -206,15 +236,26 @@ let scratch_regions t = t.config.dram_scratch_regions
 
 let iter_bindings f t = Addr_table.iter f t.addr_map
 
+(* Regions satisfying [p], in index order; built back to front so only
+   the matching regions cost a list cell (every pause asks several times,
+   and most regions of a small heap are free). *)
+let regions_where p t =
+  let acc = ref [] in
+  for i = Array.length t.regions - 1 downto 0 do
+    let r = t.regions.(i) in
+    if p r then acc := r :: !acc
+  done;
+  !acc
+
 let regions_of_kind t kind =
-  Array.to_list t.regions
-  |> List.filter (fun (r : Region.t) -> r.Region.kind = kind)
+  regions_where (fun (r : Region.t) -> r.Region.kind = kind) t
 
 let young_regions t =
-  Array.to_list t.regions
-  |> List.filter (fun (r : Region.t) ->
-         match r.Region.kind with
-         | Region.Eden | Region.Survivor -> true
-         | Region.Free | Region.Old | Region.Cache -> false)
+  regions_where
+    (fun (r : Region.t) ->
+      match r.Region.kind with
+      | Region.Eden | Region.Survivor -> true
+      | Region.Free | Region.Old | Region.Cache -> false)
+    t
 
 let live_objects t = Addr_table.length t.addr_map

@@ -17,6 +17,15 @@ val default_config : config
 type t
 
 val create : config -> t
+
+val reset : t -> unit
+(** Return the heap to a state no query can tell apart from
+    [create (config t)]: every region free, empty and on its configured
+    space, the free lists in creation order, no bindings, no roots, and
+    object and root ids counting from zero again.  Objects of the previous
+    life are unbound but not modified. *)
+
+val config : t -> config
 val region_bytes : t -> int
 val young_space : t -> Memsim.Access.space
 val old_space : t -> Memsim.Access.space

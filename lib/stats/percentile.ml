@@ -30,6 +30,10 @@ type reservoir = {
 
 let create_reservoir () = { samples = Vec.create 0.0; sorted = None }
 
+let clear_reservoir r =
+  Vec.clear r.samples;
+  r.sorted <- None
+
 let add r x =
   Vec.push r.samples x;
   r.sorted <- None

@@ -10,6 +10,9 @@ val of_unsorted : float array -> float -> float
 type reservoir
 
 val create_reservoir : unit -> reservoir
+val clear_reservoir : reservoir -> unit
+(** Drop every sample, as [create_reservoir] leaves it. *)
+
 val add : reservoir -> float -> unit
 val count : reservoir -> int
 

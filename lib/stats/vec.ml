@@ -20,9 +20,21 @@ let length t = t.len
 let is_empty t = t.len = 0
 
 let clear t =
-  (* Release references so the OCaml GC can reclaim stored elements. *)
-  Array.fill t.data 0 t.len t.dummy;
+  (* Release references so the OCaml GC can reclaim stored elements.  A
+     reset heap clears dozens of vectors that are already empty, so skip
+     the C call for those. *)
+  if t.len > 0 then Array.fill t.data 0 t.len t.dummy;
   t.len <- 0
+
+(* [clear], and drop a backing array grown past [capacity] for a fresh
+   one of that size: a long-lived owner of per-pause scratch keeps small
+   buffers but does not hold a large one between pauses. *)
+let clear_to t ~capacity =
+  if Array.length t.data > capacity then begin
+    t.data <- Array.make (max capacity 1) t.dummy;
+    t.len <- 0
+  end
+  else clear t
 
 let ensure_capacity t needed =
   let cap = Array.length t.data in

@@ -16,6 +16,10 @@ val is_empty : 'a t -> bool
 val clear : 'a t -> unit
 (** Remove all elements, releasing them for GC. *)
 
+val clear_to : 'a t -> capacity:int -> unit
+(** {!clear}, and replace a backing array larger than [capacity] with one
+    of that size, so a long-lived vector does not keep a large buffer. *)
+
 val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a

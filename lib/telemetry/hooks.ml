@@ -17,8 +17,26 @@ let empty = { tracer = None; metrics = None; recorder = None }
 
 let scope_key : scope Domain.DLS.key = Domain.DLS.new_key (fun () -> empty)
 
-let ambient () = Domain.DLS.get scope_key
-let set_ambient s = Domain.DLS.set scope_key s
+let is_empty s = s.tracer = None && s.metrics = None && s.recorder = None
+
+(* How many domains hold a non-empty scope.  Every emitter starts with
+   [ambient ()], so while nothing is installed anywhere (every sweep and
+   campaign that runs without telemetry) one atomic load replaces the
+   [Domain.DLS.get].  Per-domain semantics are kept: a domain's own
+   [set_ambient] of a non-empty scope increments the count before it
+   returns, so that domain never reads the count as zero while its own
+   scope is non-empty. *)
+let nonempty_scopes = Atomic.make 0
+
+let ambient () =
+  if Atomic.get nonempty_scopes = 0 then empty else Domain.DLS.get scope_key
+
+let set_ambient s =
+  let was_empty = is_empty (Domain.DLS.get scope_key) in
+  let now_empty = is_empty s in
+  if was_empty && not now_empty then Atomic.incr nonempty_scopes;
+  Domain.DLS.set scope_key s;
+  if now_empty && not was_empty then Atomic.decr nonempty_scopes
 
 let set_tracer t = set_ambient { (ambient ()) with tracer = t }
 let tracer () = (ambient ()).tracer

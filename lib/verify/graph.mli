@@ -34,6 +34,10 @@ val diff : expected:t -> got:t -> string list
 (** Human-readable mismatches ([] = graphs agree); capped with a
     suppression note when pathological. *)
 
+val diff_heap : expected:t -> Simheap.Heap.t -> string list
+(** [diff ~expected ~got:(capture heap)], without building the capture
+    when the heap agrees with [expected]. *)
+
 val equal : t -> t -> bool
 
 val closed_within : pre:t -> t -> string list

@@ -56,11 +56,16 @@ let after_pause_checked gc pause =
         (Verification_failure
            (Nvmgc.Gc_config.describe (Nvmgc.Young_gc.config gc), msgs))
 
+(* Not [Fun.protect]: this runs after every verified pause, and the two
+   closures it takes cost more than the phase switch they guard. *)
 let after_pause gc pause =
   let prof_prev = Simstats.Hostprof.enter prof_verify in
-  Fun.protect
-    ~finally:(fun () -> Simstats.Hostprof.leave prof_prev)
-    (fun () -> after_pause_checked gc pause)
+  match after_pause_checked gc pause with
+  | () -> Simstats.Hostprof.leave prof_prev
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Simstats.Hostprof.leave prof_prev;
+      Printexc.raise_with_backtrace e bt
 
 (* Registration is process-global and must happen at most once even
    under concurrent callers: the compare-and-set elects a single

@@ -678,6 +678,71 @@ let test_occupancy_sampled_before_clear () =
     occupied_seen;
   check_int "table cleared after the pause" 0 (Nvmgc.Header_map.occupied map)
 
+(* ------------------------------------------------------------------ *)
+(* Configuration validation                                            *)
+
+(* Each degenerate value must be refused by [Young_gc.create] itself,
+   with the field named.  The tests never collect: before validation
+   existed, [threads = 0] reached a division by zero that the [-unsafe]
+   build turns into SIGFPE, and a NaN or infinite pause overhead made
+   [collect] run without end. *)
+let validation_base = Nvmgc.Gc_config.all_opts ~threads:4 ~scale:4096 ()
+
+let expect_rejected ~field config () =
+  let heap = H.create H.default_config in
+  let memory = Memsim.Memory.create Memsim.Memory.default_config in
+  match Nvmgc.Young_gc.create ~heap ~memory config with
+  | _ -> Alcotest.failf "%s: degenerate value accepted by create" field
+  | exception Invalid_argument msg ->
+      let n = String.length field and m = String.length msg in
+      let rec has i = i + n <= m && (String.sub msg i n = field || has (i + 1)) in
+      check_bool (Printf.sprintf "message %S names %s" msg field) true (has 0)
+
+let rejected_configs =
+  let b = validation_base in
+  let open Nvmgc.Gc_config in
+  [
+    ("threads 0", "threads", { b with threads = 0 });
+    ("threads -1", "threads", { b with threads = -1 });
+    ("pause nan", "pause_overhead_ns",
+     { b with pause_overhead_ns = Float.nan });
+    ("pause infinity", "pause_overhead_ns",
+     { b with pause_overhead_ns = Float.infinity });
+    ("pause -1", "pause_overhead_ns",
+     { b with pause_overhead_ns = -1.0 });
+    ("steal_chunk 0", "steal_chunk", { b with steal_chunk = 0 });
+    ("steal_chunk -1", "steal_chunk", { b with steal_chunk = -1 });
+    ("search_bound -1", "search_bound", { b with search_bound = -1 });
+    ("lab_bytes -1", "lab_bytes", { b with lab_bytes = -1 });
+    ("direct_copy -1", "direct_copy_threshold",
+     { b with direct_copy_threshold = -1 });
+    ("header_map_bytes -1", "header_map_bytes",
+     { b with header_map_bytes = -1 });
+    ("wc limit -1", "write_cache_limit_bytes",
+     { b with write_cache_limit_bytes = Some (-1) });
+  ]
+
+(* The smallest sizes the collector rounds up or treats as "none" stay
+   valid: test_tiny_header_map and test_zero_write_cache depend on them. *)
+let test_validate_keeps_edge_values () =
+  let open Nvmgc.Gc_config in
+  List.iter
+    (fun (name, c) ->
+      match validate c with
+      | Ok c' -> check_bool (name ^ " returned unchanged") true (c' = c)
+      | Error msg -> Alcotest.failf "%s rejected: %s" name msg)
+    [
+      ("all_opts", validation_base);
+      ("vanilla PS", vanilla ~collector:Parallel_scavenge ~threads:1 ~scale:64 ());
+      ("header_map_bytes = 64", { validation_base with header_map_bytes = 64 });
+      ("write_cache_limit_bytes = Some 0",
+       { validation_base with write_cache_limit_bytes = Some 0 });
+      ("write_cache_limit_bytes = None",
+       { validation_base with write_cache_limit_bytes = None });
+      ("search_bound = 0", { validation_base with search_bound = 0 });
+      ("pause_overhead_ns = 0", { validation_base with pause_overhead_ns = 0.0 });
+    ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "gc"
@@ -689,6 +754,14 @@ let () =
           qc prop_collection_invariants;
           qc prop_optimizations_never_lose_objects;
         ] );
+      ( "validation",
+        Alcotest.test_case "edge values stay valid" `Quick
+          test_validate_keeps_edge_values
+        :: List.map
+             (fun (name, field, config) ->
+               Alcotest.test_case ("rejects " ^ name) `Quick
+                 (expect_rejected ~field config))
+             rejected_configs );
       ( "edge-configs",
         [
           Alcotest.test_case "tiny header map" `Quick test_tiny_header_map;

@@ -47,6 +47,31 @@ let test_graph_diff_detects_corruption () =
     (G.diff ~expected ~got <> []);
   check_bool "equal is false" false (G.equal expected got)
 
+(* [diff_heap] decides agreement on the live heap without capturing it;
+   whatever the heap's corruption, it must say exactly what [diff] says
+   about the capture. *)
+let test_diff_heap_matches_diff () =
+  for seed = 1 to 40 do
+    let spec = gen_spec seed ~max_objects:20 in
+    let inst = Spec.instantiate spec in
+    let heap = inst.Spec.heap in
+    let expected = G.capture heap in
+    let objs = inst.Spec.objects in
+    let o = objs.(seed mod Array.length objs) in
+    (match seed mod 5 with
+    | 0 -> ()
+    | 1 -> Simheap.Heap.unbind heap o.Simheap.Objmodel.addr
+    | 2 ->
+        if Array.length o.fields > 0 then
+          o.fields.(0) <- (if o.fields.(0) = 0 then objs.(0).addr else 0)
+    | 3 -> ignore (Simheap.Heap.new_root heap o.addr)
+    | _ -> Simheap.Heap.clear_roots heap);
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %d" seed)
+      (G.diff ~expected ~got:(G.capture heap))
+      (G.diff_heap ~expected heap)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Schedule seam                                                       *)
 
@@ -493,6 +518,153 @@ let test_golden_reports () =
         fun () -> Lazy.force tampered_report );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Pooled state: a campaign domain reuses its heap, collector and
+   memory model through their resets.  Whatever earlier runs left in
+   them — a completed pause, a pause killed at a crash point, a pause
+   whose verification failed — a reset object must behave exactly as a
+   fresh one: same pause record and collector totals, same post-pause
+   live graph, same recovery-oracle and verifier messages.              *)
+
+type outcome =
+  | Completed of Nvmgc.Gc_stats.pause * G.t * (int * float)
+      (** the pause, the post-pause graph, and the collector's totals
+          (pause count, summed pause time) *)
+  | Crash_checked of string list  (** {!Simcheck.Recovery.check} messages *)
+  | Verification_failed of string list
+
+(* One execution, as the campaign driver runs it, on the given objects:
+   [heap] and [gc] absent means fresh ones; a given heap is reset first,
+   a given collector reset to the variant's configuration, and [memory]
+   used as given.
+   [corrupt] adds a root aimed outside the heap: the collector skips it
+   and the post-pause invariant walk rejects it as dangling. *)
+let run_on ?heap ?gc ~memory ~spec ~threads ~sched_seed ?crash_step
+    ?(corrupt = false) (v : Fuzz.variant) =
+  Option.iter Simheap.Heap.reset heap;
+  let inst = Spec.instantiate ?heap spec in
+  if corrupt then ignore (Simheap.Heap.new_root inst.Spec.heap 8);
+  let base =
+    if sched_seed <> 0 then Some (Sched.of_seed sched_seed)
+    else if crash_step <> None then Some Nvmgc.Schedule.default
+    else None
+  in
+  let schedule, pre =
+    match crash_step with
+    | None -> (base, None)
+    | Some crash_step ->
+        Memsim.Memory.set_durability_tracking memory true;
+        ( Option.map (Sched.with_crash ~crash_step) base,
+          Some (G.capture inst.Spec.heap) )
+  in
+  let heap = inst.Spec.heap in
+  let config = v.make ~threads in
+  let gc =
+    match gc with
+    | Some gc ->
+        Nvmgc.Young_gc.reset ?schedule ~config gc ~heap ~memory;
+        gc
+    | None -> Nvmgc.Young_gc.create ?schedule ~heap ~memory config
+  in
+  let outcome =
+    match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
+    | pause ->
+        let totals = Nvmgc.Young_gc.totals gc in
+        Completed
+          ( pause,
+            G.capture heap,
+            (totals.Nvmgc.Gc_stats.pauses, totals.Nvmgc.Gc_stats.total_pause_ns)
+          )
+    | exception Nvmgc.Evacuation.Crashed st ->
+        Crash_checked
+          (Simcheck.Recovery.check ~pre:(Option.get pre) ~heap ~memory st)
+    | exception Verify.Hooks.Verification_failure (_, msgs) ->
+        Verification_failed msgs
+  in
+  (outcome, heap, gc)
+
+let fresh_memory () = Memsim.Memory.create Memsim.Memory.default_config
+
+let prop_reset_is_fresh =
+  QCheck.Test.make ~count:40
+    ~name:"reset heap, collector and memory behave as fresh ones"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Simstats.Prng.create seed in
+      let int n = Simstats.Prng.int rng n in
+      let spec = gen_spec (Simstats.Prng.bits rng) ~max_objects:25 in
+      let variant () =
+        List.nth Fuzz.all_variants (int (List.length Fuzz.all_variants))
+      in
+      let threads = 1 + int 8 and v = variant () in
+      let sched () = if int 4 = 0 then 0 else 1 + int 100_000 in
+      let step () = if int 2 = 0 then None else Some (1 + int 80) in
+      (* 1-3 earlier runs on the pooled objects: a completed differential
+         run, a crashed run, or a verification failure, each under a
+         drawn variant and thread count (the collector is reset from
+         whatever configuration it last ran); some on another
+         specification, whose heap is its own. *)
+      let memory = fresh_memory () in
+      let heap = ref None and gc = ref None in
+      for _ = 0 to int 3 do
+        let kind = int 3 in
+        let other = int 3 = 0 in
+        let spec' =
+          if other then gen_spec (Simstats.Prng.bits rng) ~max_objects:25
+          else spec
+        in
+        Memsim.Memory.reset memory;
+        let _, h, g =
+          run_on
+            ?heap:(if other then None else !heap)
+            ?gc:!gc ~memory ~spec:spec' ~threads:(1 + int 8)
+            ~sched_seed:(sched ())
+            ?crash_step:(if kind = 1 then Some (1 + int 80) else None)
+            ~corrupt:(kind = 2) (variant ())
+        in
+        if not other then heap := Some h;
+        gc := Some g
+      done;
+      let sched_seed = sched () and crash_step = step () in
+      Memsim.Memory.reset memory;
+      let pooled, _, _ =
+        run_on ?heap:!heap ?gc:!gc ~memory ~spec ~threads ~sched_seed
+          ?crash_step v
+      in
+      let fresh, _, _ =
+        run_on ~memory:(fresh_memory ()) ~spec ~threads ~sched_seed ?crash_step
+          v
+      in
+      compare pooled fresh = 0)
+
+(* Allocation budget of a warmed-up campaign domain, in the dev profile
+   the test suite builds: minor words per copied object over the 25-case
+   seed-42 differential campaign.  Measured at 242.4; the bound leaves
+   25% headroom.  A fuzz execution that rebuilds its heap, collector or
+   verification artefacts again goes over it. *)
+let words_per_object_bound = 303.0
+
+let test_allocation_budget () =
+  ignore (Fuzz.run ~cases:25 ~seed:42 () : Fuzz.report);
+  let before = Gc.minor_words () in
+  let r = Fuzz.run ~cases:25 ~seed:42 () in
+  let words = Gc.minor_words () -. before in
+  check_bool "campaign green" true (Fuzz.ok r);
+  let objects =
+    List.fold_left
+      (fun acc (s : Fuzz.variant_summary) ->
+        List.fold_left
+          (fun acc (p : Nvmgc.Gc_stats.pause) -> acc + p.objects_copied)
+          acc s.Fuzz.pauses)
+      0 r.Fuzz.summaries
+  in
+  let per_object = words /. float_of_int objects in
+  check_bool
+    (Printf.sprintf "%.1f minor words per copied object (bound %.0f)"
+       per_object words_per_object_bound)
+    true
+    (per_object < words_per_object_bound)
+
 let () =
   Alcotest.run "simcheck"
     [
@@ -502,6 +674,8 @@ let () =
             test_instantiate_deterministic;
           Alcotest.test_case "graph diff detects corruption" `Quick
             test_graph_diff_detects_corruption;
+          Alcotest.test_case "diff on the live heap" `Quick
+            test_diff_heap_matches_diff;
         ] );
       ( "schedule",
         [
@@ -545,4 +719,9 @@ let () =
         ] );
       ( "golden",
         [ Alcotest.test_case "campaign reports" `Quick test_golden_reports ] );
+      ( "pooling",
+        [
+          QCheck_alcotest.to_alcotest prop_reset_is_fresh;
+          Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+        ] );
     ]
