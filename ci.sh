@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI entry point: clean build with the dev profile (fatal warnings), the
 # full test suite with post-pause verification forced on, and a telemetry
-# smoke: produce a Chrome trace + metrics CSV and validate them.
+# smoke: the pinned smoke outputs, and fig5's telemetry outputs compared
+# across job counts.
 set -eu
 repo=$(pwd)
 tmp=$(mktemp -d)
@@ -115,25 +116,27 @@ for kind in early-ready drop-flush; do
   fi
 done
 
-# Telemetry smoke (also covered by the deterministic `dune build @trace`
-# alias): a traced run must yield a parseable Chrome trace with at least
-# one pause span, plus a non-empty metrics CSV.
-dune build @trace
-dune exec bin/nvmgc_cli.exe -- run page-rank --threads 8 --gc-scale 0.1 \
-  --trace "$tmp/trace.json" --metrics "$tmp/metrics.csv" --log-gc info \
-  > /dev/null
-dune exec bin/nvmgc_cli.exe -- validate-trace "$tmp/trace.json"
-test -s "$tmp/metrics.csv"
-test -s "$tmp/trace.jsonl"
-
-# Continuous-recorder smoke (also covered by `dune build @recorder`): a
-# run with --stats must yield a non-empty per-window CSV and Prometheus
-# exposition.
-dune build @recorder
-dune exec bin/nvmgc_cli.exe -- run page-rank --threads 8 --gc-scale 0.1 \
-  --stats "$tmp/stats.csv" > /dev/null
-test -s "$tmp/stats.csv"
-test -s "$tmp/stats.prom"
+# Telemetry smoke.  `dune build @trace @recorder` regenerates the smoke
+# outputs and validates the trace; bin/dune's runtest rule pins their
+# MD5s.  Then, across many pauses and the parallel merge, every telemetry
+# output of a fig5 run (Chrome trace, JSONL, metrics CSV, recorder CSV
+# and Prometheus exposition, console log) must be byte-identical at
+# --jobs 1 and --jobs 8.
+dune build @trace @recorder @bin/runtest
+for j in 1 8; do
+  mkdir "$tmp/fig5-j$j"
+  dune exec bin/nvmgc_cli.exe -- fig fig5 --gc-scale 0.05 --jobs "$j" \
+    --trace "$tmp/fig5-j$j/trace.json" --metrics "$tmp/fig5-j$j/metrics.csv" \
+    --stats "$tmp/fig5-j$j/stats.csv" --log-gc debug \
+    > "$tmp/fig5-j$j/out.txt"
+done
+for f in trace.json trace.jsonl metrics.csv stats.csv stats.prom out.txt; do
+  if ! cmp "$tmp/fig5-j1/$f" "$tmp/fig5-j8/$f"; then
+    echo "ci: fig5 telemetry output $f differs: --jobs 1 vs --jobs 8" >&2
+    exit 1
+  fi
+done
+dune exec bin/nvmgc_cli.exe -- validate-trace "$tmp/fig5-j1/trace.json"
 
 # Recording must be pure observation, and the batched run-API access
 # path (Memory.access_run_into) must be float-for-float identical to the

@@ -117,7 +117,6 @@ type thread = {
   mutable objects_copied : int;
   mutable bytes_copied : int;
   mutable bytes_cached : int;
-  mutable bytes_direct : int;
   mutable hm_installs : int;
   mutable hm_hits : int;
   mutable hm_fallbacks : int;
@@ -185,6 +184,12 @@ type t = {
   mutable pairs_outstanding : int;
       (** registered-but-unflushed pairs, mirroring the former
           [Hashtbl.length] telemetry *)
+  mutable tracker_ready : int;
+  mutable tracker_rearmed : int;
+  mutable tracker_lost : int;
+      (** this pause's {!Flush_tracker.decision}s other than [Keep]: one
+          count per engine rather than per thread record, which would
+          cost every collector three words per thread *)
   old_addrs : int Simstats.Vec.t;
       (** pre-copy addresses of evacuated objects; their address-table
           bindings must survive the pause (forwarding lookups) and be
@@ -224,7 +229,6 @@ let make_thread tid =
     objects_copied = 0;
     bytes_copied = 0;
     bytes_cached = 0;
-    bytes_direct = 0;
     hm_installs = 0;
     hm_hits = 0;
     hm_fallbacks = 0;
@@ -266,6 +270,9 @@ let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map () =
       scratch_first_slot = Work_stack.no_slot;
       pair_by_region = Array.make 8 None;
       pairs_outstanding = 0;
+      tracker_ready = 0;
+      tracker_rearmed = 0;
+      tracker_lost = 0;
       old_addrs = Simstats.Vec.create 0;
       busy = 0;
       start_ns = 0.0;
@@ -297,7 +304,6 @@ let reset_thread th ~start_ns =
   th.objects_copied <- 0;
   th.bytes_copied <- 0;
   th.bytes_cached <- 0;
-  th.bytes_direct <- 0;
   th.hm_installs <- 0;
   th.hm_hits <- 0;
   th.hm_fallbacks <- 0;
@@ -333,6 +339,9 @@ let clear_pause_state t ~start_ns =
     done;
     t.pairs_outstanding <- 0
   end;
+  t.tracker_ready <- 0;
+  t.tracker_rearmed <- 0;
+  t.tracker_lost <- 0;
   Simstats.Vec.clear_to t.old_addrs ~capacity:Work_stack.kept_capacity;
   t.busy <- 0;
   t.start_ns <- start_ns;
@@ -386,19 +395,12 @@ let start_pause t ~write_cache ~start_ns =
     done
   end
   else clear_pause_state t ~start_ns;
-  t.cleared <- false;
-  if Nvmtrace.Hooks.tracing () then begin
-    Nvmtrace.Hooks.lane_name ~lane:0 "pause";
-    Array.iter
-      (fun th ->
-        Nvmtrace.Hooks.lane_name ~lane:(lane th)
-          (Printf.sprintf "gc-%d" th.tid))
-      t.threads
-  end
+  t.cleared <- false
 
 let old_addrs t = t.old_addrs
 
 let threads t = t.threads
+let tracker_decisions t = (t.tracker_ready, t.tracker_rearmed, t.tracker_lost)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-seam decisions (all default to "no" without a schedule)    *)
@@ -719,12 +721,7 @@ let alloc_destination t th size =
   charge_cpu th alloc_cpu_ns;
   charge_lab t th size;
   let cacheable = size <= t.config.Gc_config.direct_copy_threshold in
-  if not (cacheable && alloc_cached t th size) then begin
-    alloc_direct t th size;
-    match t.write_cache with
-    | Some wc -> Write_cache.record_direct_copy wc size
-    | None -> ()
-  end
+  if not (cacheable && alloc_cached t th size) then alloc_direct t th size
 
 (* ------------------------------------------------------------------ *)
 (* Forwarding                                                          *)
@@ -852,7 +849,7 @@ let copy_object t th ~old_addr ~old_space (obj : O.t) =
   th.bytes_copied <- th.bytes_copied + obj.O.size;
   (match th.dest_pair with
   | Some _ -> th.bytes_cached <- th.bytes_cached + obj.O.size
-  | None -> th.bytes_direct <- th.bytes_direct + obj.O.size);
+  | None -> ());
   (* Step 4 second half: scan the copied object's reference fields and
      push them (sequential read of the fresh copy — cache-hot). *)
   let nfields = O.nfields obj in
@@ -933,6 +930,24 @@ let update_slot t th slot ~ref_addr new_addr =
     Work_stack.slot_write t.pool slot new_addr
   end
 
+(* The flush tracker judged [pair] not ready after an item homed in it. *)
+let not_ready t th pair =
+  if
+    async_mode t
+    && (not pair.Write_cache.flushed)
+    && (match th.pair with Some p -> p == pair | None -> false)
+    && flush_early t th
+  then begin
+    (* Injected fault: answer this decision with Ready — retire and flush
+       the pair while the Figure-4 protocol still tracks pending
+       references into it (the just-pushed or still-memorized items whose
+       slot updates will land after the flush is reported durable). *)
+    Write_cache.mark_filled pair;
+    th.pair <- None;
+    th.async_flushes <- th.async_flushes + 1;
+    flush_pair t th pair
+  end
+
 (* Process a single popped work item: the §3.1 four-step loop.
    [slot]/[home] are the packed slot id and home cache-region index
    popped off a work stack ([home] negative for "no home"). *)
@@ -986,24 +1001,16 @@ let process_item t th ~slot ~home =
         Flush_tracker.on_processed pair ~slot ~referent_first_slot
           ~referent_home:t.last_copy_home
       with
-      | Flush_tracker.Ready p -> async_flush t th p
-      | Flush_tracker.Keep ->
-          if
-            async_mode t
-            && (not pair.Write_cache.flushed)
-            && (match th.pair with Some p -> p == pair | None -> false)
-            && flush_early t th
-          then begin
-            (* Injected fault: answer this Keep decision with Ready —
-               retire and flush the pair while the Figure-4 protocol
-               still tracks pending references into it (the just-pushed
-               or still-memorized items whose slot updates will land
-               after the flush is reported durable). *)
-            Write_cache.mark_filled pair;
-            th.pair <- None;
-            th.async_flushes <- th.async_flushes + 1;
-            flush_pair t th pair
-          end
+      | Flush_tracker.Ready p ->
+          t.tracker_ready <- t.tracker_ready + 1;
+          async_flush t th p
+      | Flush_tracker.Keep -> not_ready t th pair
+      | Flush_tracker.Rearmed ->
+          t.tracker_rearmed <- t.tracker_rearmed + 1;
+          not_ready t th pair
+      | Flush_tracker.Lost ->
+          t.tracker_lost <- t.tracker_lost + 1;
+          not_ready t th pair
     end
   | None -> ()
 

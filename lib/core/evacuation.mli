@@ -65,7 +65,8 @@ type thread = {
   mutable objects_copied : int;
   mutable bytes_copied : int;
   mutable bytes_cached : int;
-  mutable bytes_direct : int;
+      (** of [bytes_copied], those copied through the write cache; the
+          rest were copied straight to their final space *)
   mutable hm_installs : int;
   mutable hm_hits : int;
   mutable hm_fallbacks : int;
@@ -132,6 +133,14 @@ val end_pause : t -> unit
     pauses, and drop scratch buffers a large pause grew. *)
 
 val threads : t -> thread array
+
+val tracker_decisions : t -> int * int * int
+(** This pause's {!Flush_tracker.decision} counts: [Ready], [Rearmed],
+    [Lost]. *)
+
+val lane : thread -> int
+(** The thread's telemetry lane, [tid + 1]; lane 0 carries the pause. *)
+
 val old_addrs : t -> int Simstats.Vec.t
 (** Pre-copy addresses of evacuated objects, for post-pause unbinding. *)
 

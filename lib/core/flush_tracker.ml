@@ -27,6 +27,8 @@
 
 type decision =
   | Keep  (** nothing to do *)
+  | Rearmed  (** the memorized reference moved to the referent's first *)
+  | Lost  (** tracking dropped: the pair waits for the write-only sub-phase *)
   | Ready of Write_cache.pair
       (** the pair may be flushed asynchronously right now *)
 
@@ -56,7 +58,6 @@ let on_processed (pair : Write_cache.pair) ~slot ~referent_first_slot
        && not pair.Write_cache.cache.Simheap.Region.stolen_from
     then begin
       pair.Write_cache.last <- Work_stack.no_slot;
-      Nvmtrace.Hooks.count ~by:1 "flush_tracker.ready";
       Ready pair
     end
     else begin
@@ -66,20 +67,20 @@ let on_processed (pair : Write_cache.pair) ~slot ~referent_first_slot
          in a different pair pops with that pair as its home, so it
          would never be matched against our [last] and the pair would
          silently lose async-flush eligibility.  In that case drop the
-         tracking; the next object copied into the pair re-arms it. *)
-      let same_pair =
+         tracking; the next object copied into the pair re-arms it.  The
+         caller counts both outcomes, which makes the conservatism of the
+         Figure-4c heuristic visible in the metrics output. *)
+      if
         referent_first_slot >= 0
         && referent_home = pair.Write_cache.cache.Simheap.Region.idx
-      in
-      if same_pair then Nvmtrace.Hooks.count ~by:1 "flush_tracker.rearms"
-      else
-        (* Tracking lost: the pair waits for the write-only sub-phase.
-           Counting these makes the conservatism of the Figure-4c
-           heuristic visible in the metrics/recorder output. *)
-        Nvmtrace.Hooks.count ~by:1 "flush_tracker.lost_tracking";
-      pair.Write_cache.last <-
-        (if same_pair then referent_first_slot else Work_stack.no_slot);
-      Keep
+      then begin
+        pair.Write_cache.last <- referent_first_slot;
+        Rearmed
+      end
+      else begin
+        pair.Write_cache.last <- Work_stack.no_slot;
+        Lost
+      end
     end
   end
   else Keep

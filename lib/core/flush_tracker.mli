@@ -2,7 +2,12 @@
     "last-reference" protocol of paper §4.2, Figure 4. *)
 
 type decision =
-  | Keep
+  | Keep  (** the item was not the pair's memorized last reference *)
+  | Rearmed  (** it was, on a pair not yet ready: re-armed (Figure 4c) *)
+  | Lost
+      (** it was, on a pair not yet ready, and nothing in this pair can
+          re-arm it: the pair waits for a later copy or the write-only
+          sub-phase *)
   | Ready of Write_cache.pair
       (** the pair may be flushed asynchronously right now *)
 

@@ -128,8 +128,6 @@ let verify_override =
 let verify_active t =
   match verify_override with Some v -> v | None -> t.verify
 
-let flush_mode_name = function Sync -> "sync" | Async -> "async"
-
 let collector_name = function G1 -> "g1" | Parallel_scavenge -> "ps"
 
 let describe t =

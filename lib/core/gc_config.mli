@@ -62,6 +62,5 @@ val verify_active : t -> bool
     "off" forces it off, any other non-empty value forces it on.  The
     variable is read once per process. *)
 
-val flush_mode_name : flush_mode -> string
 val collector_name : collector -> string
 val describe : t -> string

@@ -42,14 +42,6 @@ let nvm_bandwidth_mbps p =
     bytes /. 1e6 /. (p.pause_ns /. 1e9)
   end
 
-let nvm_read_bandwidth_mbps p =
-  if p.pause_ns <= 0.0 then 0.0
-  else p.traffic.Memsim.Memory.nvm_read_bytes /. 1e6 /. (p.pause_ns /. 1e9)
-
-let nvm_write_bandwidth_mbps p =
-  if p.pause_ns <= 0.0 then 0.0
-  else p.traffic.Memsim.Memory.nvm_write_bytes /. 1e6 /. (p.pause_ns /. 1e9)
-
 (** Accumulated statistics over a run (a sequence of pauses). *)
 type totals = {
   mutable pauses : int;
@@ -90,29 +82,7 @@ let reset_totals t =
   t.weighted_bw_mbps <- 0.0;
   Simstats.Percentile.clear_reservoir t.reservoir
 
-(* Feed the telemetry metrics registry (no-ops when none is installed).
-   Durations are histogrammed in ns, traffic in bytes, so the §3.1-style
-   distributions can be read straight out of a --metrics dump. *)
-let feed_metrics p =
-  Nvmtrace.Hooks.count ~by:1 "gc.pauses";
-  Nvmtrace.Hooks.observe "gc.pause_ns" p.pause_ns;
-  Nvmtrace.Hooks.observe "gc.traverse_ns" p.traverse_ns;
-  Nvmtrace.Hooks.observe "gc.flush_ns" p.flush_ns;
-  Nvmtrace.Hooks.observe "gc.cleanup_ns" p.cleanup_ns;
-  Nvmtrace.Hooks.observe "gc.nvm_read_bytes" p.traffic.Memsim.Memory.nvm_read_bytes;
-  Nvmtrace.Hooks.observe "gc.nvm_write_bytes" p.traffic.Memsim.Memory.nvm_write_bytes;
-  Nvmtrace.Hooks.count "gc.objects_copied" ~by:p.objects_copied;
-  Nvmtrace.Hooks.count "gc.bytes_copied" ~by:p.bytes_copied;
-  Nvmtrace.Hooks.count "gc.bytes_cached" ~by:p.bytes_cached;
-  Nvmtrace.Hooks.count "gc.bytes_direct" ~by:p.bytes_direct;
-  Nvmtrace.Hooks.count "gc.refs_processed" ~by:p.refs_processed;
-  Nvmtrace.Hooks.count "gc.steals" ~by:p.steals;
-  Nvmtrace.Hooks.count "gc.async_flushes" ~by:p.async_flushes;
-  Nvmtrace.Hooks.count "gc.sync_flushes" ~by:p.sync_flushes;
-  Nvmtrace.Hooks.gauge "gc.header_map_occupancy" p.header_map_occupancy
-
 let add totals p =
-  if Nvmtrace.Hooks.metrics () <> None then feed_metrics p;
   totals.pauses <- totals.pauses + 1;
   totals.total_pause_ns <- totals.total_pause_ns +. p.pause_ns;
   totals.max_pause_ns <- Float.max totals.max_pause_ns p.pause_ns;

@@ -1,4 +1,7 @@
-(** Per-pause and accumulated GC statistics. *)
+(** Per-pause and accumulated GC statistics.  {!pause} is the one place
+    a per-pause fact is counted; [Young_gc.publish] derives every metric,
+    sample, span and log line from it.  A pause that raises produces no
+    record, so it contributes neither to {!totals} nor to any counter. *)
 
 type pause = {
   pause_ns : float;
@@ -27,9 +30,6 @@ val pause_ms : pause -> float
 val nvm_bandwidth_mbps : pause -> float
 (** Average NVM bandwidth consumed during the pause, MB/s. *)
 
-val nvm_read_bandwidth_mbps : pause -> float
-val nvm_write_bandwidth_mbps : pause -> float
-
 type totals = {
   mutable pauses : int;
   mutable total_pause_ns : float;
@@ -49,9 +49,7 @@ val reset_totals : totals -> unit
 (** Back to the state of [create_totals]: no pauses, no samples. *)
 
 val add : totals -> pause -> unit
-(** Fold a pause into the totals.  Also feeds the telemetry metrics
-    registry ({!Nvmtrace.Hooks}) when one is installed — pure
-    observation, never affects the totals themselves. *)
+(** Fold a pause into the totals; a pure fold that emits nothing. *)
 
 val total_pause_s : totals -> float
 

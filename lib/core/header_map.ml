@@ -150,13 +150,7 @@ let rec put_scan t key value idx cnt =
 let put_code t ~key ~value =
   if key = 0 then invalid_arg "Header_map.put: null key";
   if value = 0 then invalid_arg "Header_map.put: null value";
-  let code = put_scan t key value (hash t key) 1 in
-  (* Telemetry outcome counters (no-ops without an installed registry;
-     the registry is only ever installed on single-domain runs). *)
-  (if code = 0 then Nvmtrace.Hooks.count ~by:1 "header_map.installs"
-   else if code > 0 then Nvmtrace.Hooks.count ~by:1 "header_map.races_found"
-   else Nvmtrace.Hooks.count ~by:1 "header_map.fallbacks");
-  code
+  put_scan t key value (hash t key) 1
 
 (** Allocating [put_code] wrapper kept for tests and tools. *)
 let put t ~key ~value =
@@ -193,9 +187,7 @@ let rec get_scan t key idx cnt =
     in {!last_probes}. *)
 let get_addr t ~key =
   if key = 0 then invalid_arg "Header_map.get: null key";
-  let v = get_scan t key (hash t key) 1 in
-  if v <> 0 then Nvmtrace.Hooks.count ~by:1 "header_map.hits";
-  v
+  get_scan t key (hash t key) 1
 
 (** Allocating [get_addr] wrapper kept for tests and tools. *)
 let get t ~key =

@@ -33,8 +33,6 @@ type t = {
   mutable allocated_bytes : int;
   mutable exhausted : bool;
   pairs : pair Simstats.Vec.t;
-  mutable direct_bytes : int;
-      (** bytes copied straight to NVM because the cache was full *)
 }
 
 let dummy_pair =
@@ -51,7 +49,6 @@ let create heap ~limit_bytes =
     allocated_bytes = 0;
     exhausted = false;
     pairs = Simstats.Vec.create dummy_pair;
-    direct_bytes = 0;
   }
 
 (* A new pause's cache, as [create heap ~limit_bytes] with the same
@@ -60,8 +57,7 @@ let reset t ~heap =
   t.heap <- heap;
   t.allocated_bytes <- 0;
   t.exhausted <- false;
-  Simstats.Vec.clear t.pairs;
-  t.direct_bytes <- 0
+  Simstats.Vec.clear t.pairs
 
 let limit_reached t =
   match t.limit_bytes with
@@ -86,7 +82,6 @@ let new_pair t =
             None
         | Some shadow ->
             assert (cache.Simheap.Region.bytes = shadow.Simheap.Region.bytes);
-            Nvmtrace.Hooks.count ~by:1 "write_cache.pairs_allocated";
             t.allocated_bytes <- t.allocated_bytes + cache.Simheap.Region.bytes;
             let pair =
               { cache; shadow; filled = false; flushed = false; last = -1 }
@@ -124,15 +119,10 @@ let alloc_in_pair pair size =
 
 let mark_filled pair = pair.filled <- true
 
-let record_direct_copy t bytes =
-  Nvmtrace.Hooks.count "write_cache.direct_bytes" ~by:bytes;
-  t.direct_bytes <- t.direct_bytes + bytes
-
 (** Un-cache every object of a pair after its bytes reach NVM, and release
     the DRAM region.  Memory-cost accounting is the caller's business. *)
 let complete_flush t pair =
   assert (not pair.flushed);
-  Nvmtrace.Hooks.count ~by:1 "write_cache.flushes";
   pair.flushed <- true;
   Simstats.Vec.iter
     (fun (o : Simheap.Objmodel.t) ->
@@ -144,7 +134,6 @@ let complete_flush t pair =
 let pairs t = t.pairs
 let limit_bytes t = t.limit_bytes
 let allocated_bytes t = t.allocated_bytes
-let direct_bytes t = t.direct_bytes
 
 let unflushed_pairs t =
   Simstats.Vec.fold_left

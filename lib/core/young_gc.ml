@@ -242,6 +242,129 @@ let reclaim t evac ~cset =
       region.R.space <- Simheap.Heap.old_space t.heap)
     (Simheap.Heap.regions_of_kind t.heap R.Survivor)
 
+(* One per-thread counter summed over [threads]; a top-level recursion so
+   the per-pause sums allocate nothing. *)
+let rec sum_threads threads f i acc =
+  if i = Array.length threads then acc
+  else sum_threads threads f (i + 1) (acc + f threads.(i))
+
+let sum threads f = sum_threads threads f 0 0
+
+(* Publish a completed pause (DESIGN.md §9.1): every count and per-pause
+   figure is derived here from the record [p], the pause's boundary
+   instants and the collector's state at its end.  The instants come from
+   the engine, not from [p]'s durations: the trace prints shortest-exact
+   floats, so a one-ulp drift would show.  Called after [p] is folded
+   into the totals (so [gc_n] numbers it) and before the engine's
+   per-pause state is cleared. *)
+let publish t evac (p : Gc_stats.pause) ~start_ns ~traverse_end ~flush_end
+    ~cleanup_end =
+  let gc_n = t.totals.Gc_stats.pauses in
+  let threads = Evacuation.threads evac in
+  if Nvmtrace.Hooks.metrics () <> None then begin
+    (* Durations histogrammed in ns, traffic in bytes.  The component
+       families appear once they count something, as they did when each
+       component counted its own events. *)
+    let count name by = Nvmtrace.Hooks.count ~by name in
+    let count_some name by = if by > 0 then count name by in
+    count "gc.pauses" 1;
+    Nvmtrace.Hooks.observe "gc.pause_ns" p.pause_ns;
+    Nvmtrace.Hooks.observe "gc.traverse_ns" p.traverse_ns;
+    Nvmtrace.Hooks.observe "gc.flush_ns" p.flush_ns;
+    Nvmtrace.Hooks.observe "gc.cleanup_ns" p.cleanup_ns;
+    Nvmtrace.Hooks.observe "gc.nvm_read_bytes"
+      p.traffic.Memsim.Memory.nvm_read_bytes;
+    Nvmtrace.Hooks.observe "gc.nvm_write_bytes"
+      p.traffic.Memsim.Memory.nvm_write_bytes;
+    count "gc.objects_copied" p.objects_copied;
+    count "gc.bytes_copied" p.bytes_copied;
+    count "gc.bytes_cached" p.bytes_cached;
+    count "gc.bytes_direct" p.bytes_direct;
+    count "gc.refs_processed" p.refs_processed;
+    count "gc.steals" p.steals;
+    count "gc.async_flushes" p.async_flushes;
+    count "gc.sync_flushes" p.sync_flushes;
+    Nvmtrace.Hooks.gauge "gc.header_map_occupancy" p.header_map_occupancy;
+    count_some "header_map.installs" p.header_map_installs;
+    count_some "header_map.hits" p.header_map_hits;
+    count_some "header_map.fallbacks" p.header_map_fallbacks;
+    match t.write_cache with
+    | None -> ()
+    | Some wc ->
+        count_some "write_cache.pairs_allocated"
+          (Simstats.Vec.length (Write_cache.pairs wc));
+        count_some "write_cache.flushes" (p.async_flushes + p.sync_flushes);
+        count_some "write_cache.direct_bytes" p.bytes_direct;
+        let ready, rearmed, lost = Evacuation.tracker_decisions evac in
+        count_some "flush_tracker.ready" ready;
+        count_some "flush_tracker.rearms" rearmed;
+        count_some "flush_tracker.lost_tracking" lost
+  end;
+  (* Recorder series on the simulated clock: [gc.live_bytes_evacuated] is
+     the write-amplification denominator; the rest are the gauges the
+     paper's §3 analysis reads (cache effectiveness, flush backlog, heap
+     headroom). *)
+  if Nvmtrace.Hooks.recording () then begin
+    let now_ns = cleanup_end in
+    Nvmtrace.Hooks.track ~now_ns Nvmtrace.Recorder.live_bytes_track
+      (float_of_int p.bytes_copied);
+    let traverse_s = p.traverse_ns *. 1e-9 in
+    if traverse_s > 0.0 then
+      Nvmtrace.Hooks.sample ~now_ns "gc.evac_throughput_mbps"
+        (float_of_int p.bytes_copied /. 1e6 /. traverse_s);
+    if p.bytes_copied > 0 then
+      Nvmtrace.Hooks.sample ~now_ns "gc.wc_hit_rate"
+        (float_of_int p.bytes_cached /. float_of_int p.bytes_copied);
+    Nvmtrace.Hooks.sample ~now_ns "gc.flush_queue_depth"
+      (float_of_int p.sync_flushes);
+    Nvmtrace.Hooks.sample ~now_ns "heap.free_regions"
+      (float_of_int (Simheap.Heap.free_regions t.heap));
+    Nvmtrace.Hooks.sample ~now_ns "heap.free_cache_regions"
+      (float_of_int (Simheap.Heap.free_cache_regions t.heap));
+    if t.header_map <> None then
+      Nvmtrace.Hooks.sample ~now_ns "hm.occupancy" p.header_map_occupancy
+  end;
+  (* The lane names, and the pause with its sub-phases as lane-0 spans;
+     the phase spans tile [start_ns, cleanup_end] exactly (enforced by
+     test). *)
+  if Nvmtrace.Hooks.tracing () then begin
+    Nvmtrace.Hooks.lane_name ~lane:0 "pause";
+    Array.iter
+      (fun (th : Evacuation.thread) ->
+        Nvmtrace.Hooks.lane_name ~lane:(Evacuation.lane th)
+          (Printf.sprintf "gc-%d" th.Evacuation.tid))
+      threads;
+    Nvmtrace.Hooks.span ~lane:0 ~name:"pause" ~start_ns ~end_ns:cleanup_end
+      ~args:
+        [
+          ("gc", Nvmtrace.Tracer.Int gc_n);
+          ("objects", Nvmtrace.Tracer.Int p.objects_copied);
+          ("bytes", Nvmtrace.Tracer.Int p.bytes_copied);
+          ("steals", Nvmtrace.Tracer.Int p.steals);
+          ("threads", Nvmtrace.Tracer.Int t.config.Gc_config.threads);
+          ("config", Nvmtrace.Tracer.Str (Gc_config.describe t.config));
+        ]
+      ();
+    let phase name start_ns end_ns =
+      if end_ns > start_ns then
+        Nvmtrace.Hooks.span ~lane:0 ~name ~start_ns ~end_ns
+          ~args:[ ("gc", Nvmtrace.Tracer.Int gc_n) ]
+          ()
+    in
+    let traverse_start = start_ns +. t.config.Gc_config.pause_overhead_ns in
+    phase "prologue" start_ns traverse_start;
+    phase "traverse" traverse_start traverse_end;
+    phase "write-back" traverse_end flush_end;
+    phase "cleanup" flush_end cleanup_end
+  end;
+  let tags = Nvmtrace.Console.tags ~now_ns:start_ns in
+  Log.info (fun m ->
+      m ~tags "GC(%d) Pause Young %.3fms (%d objects, %.2f MB, %d threads)"
+        gc_n (Gc_stats.pause_ms p) p.objects_copied
+        (float_of_int p.bytes_copied /. 1e6)
+        t.config.Gc_config.threads);
+  Phases_log.debug (fun m -> m ~tags "GC(%d) %a" gc_n Gc_stats.pp_pause p)
+
 (** Run one young collection starting at simulated instant [now_ns].
     Returns the pause statistics (also folded into [totals t]). *)
 let collect t ~now_ns =
@@ -283,43 +406,28 @@ let collect t ~now_ns =
   (* The pause is over: traffic reverts to the mutator. *)
   Memsim.Memory.set_cause t.memory Nvmtrace.Recorder.Mutator;
   let after = Memsim.Memory.snapshot t.memory in
-  (* The per-thread counters, summed in one pass. *)
-  let objects_copied = ref 0 and bytes_copied = ref 0 and bytes_cached = ref 0
-  and bytes_direct = ref 0 and refs_processed = ref 0 and hm_installs = ref 0
-  and hm_hits = ref 0 and hm_fallbacks = ref 0 and async_flushes = ref 0
-  and steals = ref 0 in
-  for i = 0 to Array.length threads - 1 do
-    let th = threads.(i) in
-    objects_copied := !objects_copied + th.Evacuation.objects_copied;
-    bytes_copied := !bytes_copied + th.Evacuation.bytes_copied;
-    bytes_cached := !bytes_cached + th.Evacuation.bytes_cached;
-    bytes_direct := !bytes_direct + th.Evacuation.bytes_direct;
-    refs_processed := !refs_processed + th.Evacuation.refs_processed;
-    hm_installs := !hm_installs + th.Evacuation.hm_installs;
-    hm_hits := !hm_hits + th.Evacuation.hm_hits;
-    hm_fallbacks := !hm_fallbacks + th.Evacuation.hm_fallbacks;
-    async_flushes := !async_flushes + th.Evacuation.async_flushes;
-    steals := !steals + th.Evacuation.steals
-  done;
   let overhead = t.config.Gc_config.pause_overhead_ns in
+  let bytes_copied = sum threads (fun th -> th.Evacuation.bytes_copied) in
+  let bytes_cached = sum threads (fun th -> th.Evacuation.bytes_cached) in
   let pause : Gc_stats.pause =
     {
       pause_ns = cleanup_end -. now_ns +. overhead;
       traverse_ns = traverse_end -. now_ns +. overhead;
       flush_ns = flush_end -. traverse_end;
       cleanup_ns = cleanup_end -. flush_end;
-      objects_copied = !objects_copied;
-      bytes_copied = !bytes_copied;
-      bytes_cached = !bytes_cached;
-      bytes_direct = !bytes_direct;
-      refs_processed = !refs_processed;
-      header_map_installs = !hm_installs;
-      header_map_hits = !hm_hits;
-      header_map_fallbacks = !hm_fallbacks;
+      objects_copied = sum threads (fun th -> th.Evacuation.objects_copied);
+      bytes_copied;
+      bytes_cached;
+      bytes_direct = bytes_copied - bytes_cached;
+      refs_processed = sum threads (fun th -> th.Evacuation.refs_processed);
+      header_map_installs = sum threads (fun th -> th.Evacuation.hm_installs);
+      header_map_hits = sum threads (fun th -> th.Evacuation.hm_hits);
+      header_map_fallbacks =
+        sum threads (fun th -> th.Evacuation.hm_fallbacks);
       header_map_occupancy = hm_occupancy;
-      async_flushes = !async_flushes;
+      async_flushes = sum threads (fun th -> th.Evacuation.async_flushes);
       sync_flushes;
-      steals = !steals;
+      steals = sum threads (fun th -> th.Evacuation.steals);
       idle_ns;
       traffic = Memsim.Memory.diff ~before ~after;
       breakdown =
@@ -330,71 +438,11 @@ let collect t ~now_ns =
               0.0 threads);
     }
   in
-  (* Every per-thread figure is in the pause record now. *)
-  Evacuation.end_pause evac;
   Gc_stats.add t.totals pause;
-  let gc_n = t.totals.Gc_stats.pauses in
-  (* Continuous-recorder feeds: per-pause derived series on the simulated
-     clock.  [gc.live_bytes_evacuated] is the write-amplification
-     denominator; the rest are the gauges the paper's §3 analysis reads
-     (cache effectiveness, flush backlog, heap headroom). *)
-  if Nvmtrace.Hooks.recording () then begin
-    Nvmtrace.Hooks.track ~now_ns:cleanup_end Nvmtrace.Recorder.live_bytes_track
-      (float_of_int pause.Gc_stats.bytes_copied);
-    let traverse_s = (traverse_end -. now_ns +. overhead) *. 1e-9 in
-    if traverse_s > 0.0 then
-      Nvmtrace.Hooks.sample ~now_ns:cleanup_end "gc.evac_throughput_mbps"
-        (float_of_int pause.Gc_stats.bytes_copied /. 1e6 /. traverse_s);
-    if pause.Gc_stats.bytes_copied > 0 then
-      Nvmtrace.Hooks.sample ~now_ns:cleanup_end "gc.wc_hit_rate"
-        (float_of_int pause.Gc_stats.bytes_cached
-        /. float_of_int pause.Gc_stats.bytes_copied);
-    Nvmtrace.Hooks.sample ~now_ns:cleanup_end "gc.flush_queue_depth"
-      (float_of_int sync_flushes);
-    Nvmtrace.Hooks.sample ~now_ns:cleanup_end "heap.free_regions"
-      (float_of_int (Simheap.Heap.free_regions t.heap));
-    Nvmtrace.Hooks.sample ~now_ns:cleanup_end "heap.free_cache_regions"
-      (float_of_int (Simheap.Heap.free_cache_regions t.heap));
-    if t.header_map <> None then
-      Nvmtrace.Hooks.sample ~now_ns:cleanup_end "hm.occupancy" hm_occupancy
-  end;
-  (* Telemetry: the pause and its sub-phases as lane-0 spans.  The four
-     phase spans tile [pause_start_ns, cleanup_end] exactly (the pure
-     observation here can never move a clock; enforced by test). *)
-  if Nvmtrace.Hooks.tracing () then begin
-    let traverse_start = pause_start_ns +. overhead in
-    Nvmtrace.Hooks.span ~lane:0 ~name:"pause" ~start_ns:pause_start_ns
-      ~end_ns:cleanup_end
-      ~args:
-        [
-          ("gc", Nvmtrace.Tracer.Int gc_n);
-          ("objects", Nvmtrace.Tracer.Int pause.Gc_stats.objects_copied);
-          ("bytes", Nvmtrace.Tracer.Int pause.Gc_stats.bytes_copied);
-          ("steals", Nvmtrace.Tracer.Int pause.Gc_stats.steals);
-          ("threads", Nvmtrace.Tracer.Int t.config.Gc_config.threads);
-          ("config", Nvmtrace.Tracer.Str (Gc_config.describe t.config));
-        ]
-      ();
-    let phase name start_ns end_ns =
-      if end_ns > start_ns then
-        Nvmtrace.Hooks.span ~lane:0 ~name ~start_ns ~end_ns
-          ~args:[ ("gc", Nvmtrace.Tracer.Int gc_n) ]
-          ()
-    in
-    phase "prologue" pause_start_ns traverse_start;
-    phase "traverse" traverse_start traverse_end;
-    phase "write-back" traverse_end flush_end;
-    phase "cleanup" flush_end cleanup_end
-  end;
-  let tags = Nvmtrace.Console.tags ~now_ns:pause_start_ns in
-  Log.info (fun m ->
-      m ~tags "GC(%d) Pause Young %.3fms (%d objects, %.2f MB, %d threads)"
-        gc_n
-        (Gc_stats.pause_ms pause)
-        pause.Gc_stats.objects_copied
-        (float_of_int pause.Gc_stats.bytes_copied /. 1e6)
-        t.config.Gc_config.threads);
-  Phases_log.debug (fun m -> m ~tags "GC(%d) %a" gc_n Gc_stats.pp_pause pause);
+  publish t evac pause ~start_ns:pause_start_ns ~traverse_end ~flush_end
+    ~cleanup_end;
+  (* Every per-thread figure has been read now. *)
+  Evacuation.end_pause evac;
   (match Atomic.get verify_hooks with
   | Some hooks when Gc_config.verify_active t.config ->
       hooks.after_pause t pause

@@ -426,7 +426,3 @@ let misses t = t.misses
 let prefetch_hits t = t.prefetch_hits
 let prefetch_issued t = t.prefetch_issued
 let writebacks t = t.writebacks
-
-let miss_rate t =
-  let total = t.hits + t.misses + t.prefetch_hits in
-  if total = 0 then 0.0 else float_of_int t.misses /. float_of_int total

@@ -62,4 +62,3 @@ val misses : t -> int
 val prefetch_hits : t -> int
 val prefetch_issued : t -> int
 val writebacks : t -> int
-val miss_rate : t -> float

@@ -72,12 +72,6 @@ let length t = Vec.length t.buckets
 
 let get t idx = Vec.get t.buckets idx
 
-(** Per-bucket rate assuming the accumulated value is in bytes: returns
-    MB/s for each bucket. *)
-let to_mbps t =
-  let secs = t.bucket_ns *. 1e-9 in
-  Array.map (fun bytes -> bytes /. 1e6 /. secs) (Vec.to_array t.buckets)
-
 let total t = Vec.fold_left ( +. ) 0.0 t.buckets
 
 (** [resample t n] folds the series into exactly [n] coarse points by

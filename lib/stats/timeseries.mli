@@ -18,9 +18,6 @@ val add_spread : t -> from_ns:float -> until_ns:float -> float -> unit
 val length : t -> int
 val get : t -> int -> float
 
-val to_mbps : t -> float array
-(** Interpret bucket contents as bytes and convert to MB/s per bucket. *)
-
 val total : t -> float
 
 val resample : t -> int -> float array

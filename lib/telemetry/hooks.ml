@@ -77,11 +77,6 @@ let gauge name v =
   | None -> ()
   | Some m -> Metrics.set_gauge m name v
 
-let traffic ~from_ns ~until_ns ~nvm ~write ~cause ~bytes =
-  match (ambient ()).recorder with
-  | None -> ()
-  | Some r -> Recorder.traffic r ~from_ns ~until_ns ~nvm ~write ~cause ~bytes
-
 let sample ~now_ns name v =
   match (ambient ()).recorder with
   | None -> ()

@@ -8,6 +8,12 @@
     pure observation (enforced by a determinism test), and no emitter
     allocates when nothing is installed (enforced by an allocation test).
 
+    Where the collector emits: an event with its own timestamp is
+    emitted where it happens; every count and per-pause figure (metric
+    counters, histograms and gauges, recorder samples, the lane-0 spans,
+    the console lines) is derived from the pause record, once per
+    completed pause, in [Young_gc.publish].
+
     Event taxonomy (lanes are {!Tracer}'s: 0 = pause, [tid+1] = GC
     thread [tid]):
 
@@ -84,16 +90,6 @@ val observe : string -> float -> unit
 (** Record into a named histogram in the installed registry. *)
 
 val gauge : string -> float -> unit
-
-val traffic :
-  from_ns:float ->
-  until_ns:float ->
-  nvm:bool ->
-  write:bool ->
-  cause:Recorder.cause ->
-  bytes:float ->
-  unit
-(** Attribute traffic to the installed recorder (no-op otherwise). *)
 
 val sample : now_ns:float -> string -> float -> unit
 (** Gauge-style recorder observation (no-op when no recorder). *)

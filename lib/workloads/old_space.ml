@@ -104,5 +104,3 @@ let recycle t ~keep_free =
         end)
       candidates
   end
-
-let holder_count t = Simstats.Vec.length t.holders

@@ -20,5 +20,3 @@ val random_holder : t -> Simstats.Prng.t -> Simheap.Objmodel.t
 val recycle : t -> keep_free:int -> unit
 (** Release promoted old regions until at least [keep_free] regions are
     free.  Holder regions are never recycled. *)
-
-val holder_count : t -> int

@@ -52,7 +52,8 @@ let test_ready_when_memorized_pops_filled () =
        ~referent_home:WS.no_home
    with
   | FT.Ready p -> check_bool "ready pair is this pair" true (p == pair)
-  | FT.Keep -> Alcotest.fail "memorized pop on a filled pair must be Ready");
+  | FT.Keep | FT.Rearmed | FT.Lost ->
+      Alcotest.fail "memorized pop on a filled pair must be Ready");
   check_bool "tracking consumed" true (pair.WC.last < 0)
 
 let test_steal_during_arm_blocks_flush () =
@@ -69,8 +70,10 @@ let test_steal_during_arm_blocks_flush () =
      FT.on_processed pair ~slot:a ~referent_first_slot:WS.no_slot
        ~referent_home:WS.no_home
    with
-  | FT.Keep -> ()
-  | FT.Ready _ -> Alcotest.fail "stolen pair must never be Ready");
+  | FT.Lost -> ()
+  | FT.Ready _ -> Alcotest.fail "stolen pair must never be Ready"
+  | FT.Keep | FT.Rearmed ->
+      Alcotest.fail "memorized pop with no referent must drop tracking");
   check_bool "still not ready after the drain" false (FT.ready_on_fill pair)
 
 let test_ready_on_fill_after_drain () =
@@ -84,8 +87,10 @@ let test_ready_on_fill_after_drain () =
      FT.on_processed pair ~slot:a ~referent_first_slot:WS.no_slot
        ~referent_home:WS.no_home
    with
-  | FT.Keep -> ()
-  | FT.Ready _ -> Alcotest.fail "open pair must not be Ready");
+  | FT.Lost -> ()
+  | FT.Ready _ -> Alcotest.fail "open pair must not be Ready"
+  | FT.Keep | FT.Rearmed ->
+      Alcotest.fail "memorized pop with no referent must drop tracking");
   check_bool "tracking drained" true (pair.WC.last < 0);
   check_bool "not ready while open" false (FT.ready_on_fill pair);
   WC.mark_filled pair;
@@ -108,8 +113,9 @@ let test_cross_pair_rearm_regression () =
      FT.on_processed pair ~slot:a ~referent_first_slot:foreign
        ~referent_home:(home_of other)
    with
-  | FT.Keep -> ()
-  | FT.Ready _ -> Alcotest.fail "open pair must not be Ready");
+  | FT.Lost -> ()
+  | FT.Ready _ -> Alcotest.fail "open pair must not be Ready"
+  | FT.Keep | FT.Rearmed -> Alcotest.fail "foreign slot must drop tracking");
   check_bool "foreign slot must NOT re-arm" true (pair.WC.last < 0);
   (* Same shape, but the referent's item is homed here: re-arm. *)
   let pair2 = make_pair 2 in
@@ -119,8 +125,9 @@ let test_cross_pair_rearm_regression () =
      FT.on_processed pair2 ~slot:b ~referent_first_slot:own
        ~referent_home:(home_of pair2)
    with
-  | FT.Keep -> ()
-  | FT.Ready _ -> Alcotest.fail "open pair must not be Ready");
+  | FT.Rearmed -> ()
+  | FT.Ready _ -> Alcotest.fail "open pair must not be Ready"
+  | FT.Keep | FT.Lost -> Alcotest.fail "same-pair slot must re-arm");
   check_int "same-pair slot re-arms" own pair2.WC.last;
   (* The re-armed item behaves like the original memorized one. *)
   WC.mark_filled pair2;
@@ -129,7 +136,8 @@ let test_cross_pair_rearm_regression () =
       ~referent_home:WS.no_home
   with
   | FT.Ready p -> check_bool "re-armed pop is Ready" true (p == pair2)
-  | FT.Keep -> Alcotest.fail "re-armed memorized pop on filled pair must be Ready"
+  | FT.Keep | FT.Rearmed | FT.Lost ->
+      Alcotest.fail "re-armed memorized pop on filled pair must be Ready"
 
 let test_unrelated_pop_is_keep () =
   let pair = make_pair 0 in
@@ -141,7 +149,8 @@ let test_unrelated_pop_is_keep () =
        ~referent_home:WS.no_home
    with
   | FT.Keep -> ()
-  | FT.Ready _ -> Alcotest.fail "non-memorized pop must be Keep");
+  | FT.Ready _ | FT.Rearmed | FT.Lost ->
+      Alcotest.fail "non-memorized pop must be Keep");
   check_int "arming untouched" a pair.WC.last
 
 let () =

@@ -351,8 +351,10 @@ let test_flush_tracker_protocol () =
      Nvmgc.Flush_tracker.on_processed pair ~slot:item ~referent_first_slot:item2
        ~referent_home:pair.WC.cache.R.idx
    with
-  | Nvmgc.Flush_tracker.Keep -> ()
-  | Nvmgc.Flush_tracker.Ready _ -> Alcotest.fail "open pair must not be ready");
+  | Nvmgc.Flush_tracker.Rearmed -> ()
+  | Nvmgc.Flush_tracker.Ready _ -> Alcotest.fail "open pair must not be ready"
+  | Nvmgc.Flush_tracker.Keep | Nvmgc.Flush_tracker.Lost ->
+      Alcotest.fail "same-pair referent must re-arm");
   check_int "re-armed with same-pair referent" item2 pair.WC.last;
   (* filling the pair and popping the memorized item -> Ready *)
   WC.mark_filled pair;
@@ -361,7 +363,9 @@ let test_flush_tracker_protocol () =
        ~referent_first_slot:WS.no_slot ~referent_home:WS.no_home
    with
   | Nvmgc.Flush_tracker.Ready p -> check_bool "ready pair is ours" true (p == pair)
-  | Nvmgc.Flush_tracker.Keep -> Alcotest.fail "filled pair must be ready");
+  | Nvmgc.Flush_tracker.Keep | Nvmgc.Flush_tracker.Rearmed
+  | Nvmgc.Flush_tracker.Lost ->
+      Alcotest.fail "filled pair must be ready");
   check_bool "tracking consumed" true (pair.WC.last < 0)
 
 (* Regression: re-arming [pair.last] with a reference whose referent was
@@ -383,8 +387,10 @@ let test_flush_tracker_cross_pair_rearm () =
      Nvmgc.Flush_tracker.on_processed pair_a ~slot:item
        ~referent_first_slot:foreign ~referent_home:pair_b.WC.cache.R.idx
    with
-  | Nvmgc.Flush_tracker.Keep -> ()
-  | Nvmgc.Flush_tracker.Ready _ -> Alcotest.fail "open pair must not be ready");
+  | Nvmgc.Flush_tracker.Lost -> ()
+  | Nvmgc.Flush_tracker.Ready _ -> Alcotest.fail "open pair must not be ready"
+  | Nvmgc.Flush_tracker.Keep | Nvmgc.Flush_tracker.Rearmed ->
+      Alcotest.fail "foreign referent must drop tracking");
   check_bool "foreign referent must not re-arm" true (pair_a.WC.last < 0);
   WC.mark_filled pair_a;
   check_bool "pair recovers async eligibility on fill" true
@@ -402,9 +408,11 @@ let test_flush_tracker_stolen_blocks_async () =
      Nvmgc.Flush_tracker.on_processed pair ~slot:item
        ~referent_first_slot:WS.no_slot ~referent_home:WS.no_home
    with
-  | Nvmgc.Flush_tracker.Keep -> ()
+  | Nvmgc.Flush_tracker.Lost -> ()
   | Nvmgc.Flush_tracker.Ready _ ->
-      Alcotest.fail "stolen-from region must not flush early");
+      Alcotest.fail "stolen-from region must not flush early"
+  | Nvmgc.Flush_tracker.Keep | Nvmgc.Flush_tracker.Rearmed ->
+      Alcotest.fail "memorized pop with no referent must drop tracking");
   check_bool "ready_on_fill also blocked" false
     (Nvmgc.Flush_tracker.ready_on_fill pair)
 

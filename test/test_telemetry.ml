@@ -17,7 +17,8 @@ let contains ~sub s =
 
 (* ------------------------------------------------------------------ *)
 (* A shared traced run: page-rank at 16 threads (header map active),
-   a few pauses, tracer + metrics installed for its duration.          *)
+   a few pauses, tracer + metrics + recorder installed for its
+   duration.                                                           *)
 
 let opts =
   {
@@ -29,16 +30,19 @@ let opts =
 let with_telemetry f =
   let tracer = Nvmtrace.Tracer.create () in
   let metrics = Nvmtrace.Metrics.create () in
+  let recorder = Nvmtrace.Recorder.create () in
   Nvmtrace.Hooks.set_tracer (Some tracer);
   Nvmtrace.Hooks.set_metrics (Some metrics);
+  Nvmtrace.Hooks.set_recorder (Some recorder);
   let r =
     Fun.protect
       ~finally:(fun () ->
         Nvmtrace.Hooks.set_tracer None;
-        Nvmtrace.Hooks.set_metrics None)
+        Nvmtrace.Hooks.set_metrics None;
+        Nvmtrace.Hooks.set_recorder None)
       f
   in
-  (r, tracer, metrics)
+  (r, tracer, metrics, recorder)
 
 let traced =
   lazy
@@ -114,7 +118,7 @@ let test_json_errors () =
 (* Span invariants on the traced run                                   *)
 
 let test_pause_phases_tile () =
-  let _, tracer, _ = Lazy.force traced in
+  let _, tracer, _, _ = Lazy.force traced in
   let pauses = pause_spans tracer in
   check_bool "at least one pause" true (List.length pauses >= 1);
   let lane0 = List.filter (fun s -> s.T.s_lane = 0) (spans tracer) in
@@ -159,7 +163,7 @@ let test_pause_phases_tile () =
     pauses
 
 let test_events_within_pauses () =
-  let _, tracer, _ = Lazy.force traced in
+  let _, tracer, _, _ = Lazy.force traced in
   let pauses = pause_spans tracer in
   let lo =
     List.fold_left (fun a p -> Float.min a p.T.s_start_ns) Float.infinity pauses
@@ -186,7 +190,7 @@ let test_events_within_pauses () =
     (spans tracer)
 
 let test_lane_ordering () =
-  let _, tracer, _ = Lazy.force traced in
+  let _, tracer, _, _ = Lazy.force traced in
   let by_lane = Hashtbl.create 32 in
   List.iter
     (fun i ->
@@ -199,7 +203,7 @@ let test_lane_ordering () =
     (instants tracer)
 
 let test_taxonomy_present () =
-  let _, tracer, _ = Lazy.force traced in
+  let _, tracer, _, _ = Lazy.force traced in
   let names = List.map (fun i -> i.T.i_name) (instants tracer) in
   List.iter
     (fun n -> check_bool ("instant " ^ n ^ " present") true (List.mem n names))
@@ -220,7 +224,7 @@ let test_taxonomy_present () =
 (* Sinks                                                               *)
 
 let test_chrome_roundtrip () =
-  let _, tracer, _ = Lazy.force traced in
+  let _, tracer, _, _ = Lazy.force traced in
   let doc = J.to_string (Nvmtrace.Sinks.chrome_json tracer) in
   (match Nvmtrace.Sinks.validate_trace doc with
   | Error e -> Alcotest.failf "validate_trace: %s" e
@@ -252,7 +256,7 @@ let test_chrome_roundtrip () =
         (List.mem "flush-start" instant_names)
 
 let test_jsonl () =
-  let _, tracer, _ = Lazy.force traced in
+  let _, tracer, _, _ = Lazy.force traced in
   let path = Filename.temp_file "nvmgc" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -287,7 +291,7 @@ let test_counter_events () =
   check_bool "counter value serialized" true (contains ~sub:"7.5" doc)
 
 let test_jsonl_cross_check () =
-  let _, tracer, _ = Lazy.force traced in
+  let _, tracer, _, _ = Lazy.force traced in
   let chrome =
     match
       Nvmtrace.Sinks.validate_trace
@@ -435,7 +439,7 @@ let prop_hist_quantile_bounds =
       estimate >= exact && (exact <= 1e3 || estimate < 2.0 *. exact))
 
 let test_metrics_from_run () =
-  let run, tracer, metrics = Lazy.force traced in
+  let run, tracer, metrics, _ = Lazy.force traced in
   let snap = Nvmtrace.Metrics.snapshot metrics in
   let n_pauses = List.length run.Experiments.Runner.result.Workloads.Mutator.pauses in
   check_int "gc.pauses counter" n_pauses
@@ -453,6 +457,104 @@ let test_metrics_from_run () =
       "write_cache.pairs_allocated"; "header_map.installs";
     ]
 
+(* The campaign the fuzz purity and counter tests share: 10 cases with
+   every sink installed. *)
+let fuzz_with_sinks =
+  lazy (with_telemetry (fun () -> Simcheck.Fuzz.run ~cases:10 ~seed:7 ()))
+
+(* Every registry counter the collector feeds is derived from the pause
+   records, so over a run the counters must equal the sums of the records
+   the run returned (sums-to-total).  [pauses] pairs each record with
+   whether its configuration had a write cache.  The component families
+   appear only once they count something; every completed pause retires
+   each pair it allocated by exactly one async or sync flush. *)
+let expected_counters pauses =
+  let sum ?(wc_only = false) f =
+    List.fold_left
+      (fun acc (wc, p) -> if wc || not wc_only then acc + f p else acc)
+      0 pauses
+  in
+  let module S = Nvmgc.Gc_stats in
+  let flushes = sum (fun p -> p.S.async_flushes + p.S.sync_flushes) in
+  let nonzero = List.filter (fun (_, v) -> v > 0) in
+  List.sort compare
+    ([
+       ("gc.async_flushes", sum (fun p -> p.S.async_flushes));
+       ("gc.bytes_cached", sum (fun p -> p.S.bytes_cached));
+       ("gc.bytes_copied", sum (fun p -> p.S.bytes_copied));
+       ("gc.bytes_direct", sum (fun p -> p.S.bytes_direct));
+       ("gc.objects_copied", sum (fun p -> p.S.objects_copied));
+       ("gc.pauses", List.length pauses);
+       ("gc.refs_processed", sum (fun p -> p.S.refs_processed));
+       ("gc.steals", sum (fun p -> p.S.steals));
+       ("gc.sync_flushes", sum (fun p -> p.S.sync_flushes));
+     ]
+    @ nonzero
+        [
+          ("header_map.installs", sum (fun p -> p.S.header_map_installs));
+          ("header_map.hits", sum (fun p -> p.S.header_map_hits));
+          ("header_map.fallbacks", sum (fun p -> p.S.header_map_fallbacks));
+          ("write_cache.direct_bytes",
+            sum ~wc_only:true (fun p -> p.S.bytes_direct));
+          ("write_cache.flushes", flushes);
+          ("write_cache.pairs_allocated", flushes);
+        ])
+
+let derived_counters metrics =
+  List.filter
+    (fun (name, _) ->
+      List.exists
+        (fun prefix -> String.starts_with ~prefix name)
+        [ "gc."; "header_map."; "write_cache." ])
+    (Nvmtrace.Metrics.snapshot metrics).Nvmtrace.Metrics.counters
+
+let check_counters what expected metrics =
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": counters are the sums of the pause records")
+    expected (derived_counters metrics)
+
+let test_counters_sum_records () =
+  let run, _, metrics, recorder = Lazy.force traced in
+  let wc =
+    (Nvmgc.Young_gc.config run.Experiments.Runner.gc).Nvmgc.Gc_config.write_cache
+  in
+  let pauses =
+    List.map
+      (fun pr -> (wc, pr.Workloads.Mutator.pause))
+      run.Experiments.Runner.result.Workloads.Mutator.pauses
+  in
+  check_counters "page-rank" (expected_counters pauses) metrics;
+  Alcotest.(check (float 0.0))
+    "recorder live bytes are the records' copied bytes"
+    (float_of_int
+       (List.fold_left
+          (fun acc (_, (p : Nvmgc.Gc_stats.pause)) ->
+            acc + p.Nvmgc.Gc_stats.bytes_copied)
+          0 pauses))
+    (Nvmtrace.Recorder.track_total recorder Nvmtrace.Recorder.live_bytes_track);
+  (* The fuzzer's schedule seam forces header-map fallbacks the map never
+     sees; the records count them, so the registry must too. *)
+  let report, _, metrics, _ = Lazy.force fuzz_with_sinks in
+  check_bool "fuzz campaign green" true (Simcheck.Fuzz.ok report);
+  let pauses =
+    List.concat_map
+      (fun (s : Simcheck.Fuzz.variant_summary) ->
+        let v =
+          List.find
+            (fun (v : Simcheck.Fuzz.variant) -> v.name = s.Simcheck.Fuzz.variant)
+            Simcheck.Fuzz.all_variants
+        in
+        let wc = (v.make ~threads:1).Nvmgc.Gc_config.write_cache in
+        List.map (fun p -> (wc, p)) s.Simcheck.Fuzz.pauses)
+      report.Simcheck.Fuzz.summaries
+  in
+  check_bool "fuzz campaign forces fallbacks" true
+    (List.exists
+       (fun (_, (p : Nvmgc.Gc_stats.pause)) ->
+         p.Nvmgc.Gc_stats.header_map_fallbacks > 0)
+       pauses);
+  check_counters "fuzz campaign" (expected_counters pauses) metrics
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: telemetry is pure observation                          *)
 
@@ -462,7 +564,7 @@ let test_determinism () =
     Experiments.Runner.execute opts Workloads.Apps.page_rank
       Experiments.Runner.All_opts
   in
-  let traced_run, _, _ = Lazy.force traced in
+  let traced_run, _, _, _ = Lazy.force traced in
   let p r = r.Experiments.Runner.result.Workloads.Mutator.pauses in
   check_int "same pause count" (List.length (p plain))
     (List.length (p traced_run));
@@ -483,9 +585,8 @@ let test_determinism () =
    byte-identical pause records whether telemetry sinks are installed or
    not. *)
 let test_fuzz_determinism () =
-  let campaign () = Simcheck.Fuzz.run ~cases:10 ~seed:7 () in
-  let with_sinks, _tracer, _metrics = with_telemetry campaign in
-  let without = campaign () in
+  let with_sinks, _, _, _ = Lazy.force fuzz_with_sinks in
+  let without = Simcheck.Fuzz.run ~cases:10 ~seed:7 () in
   check_bool "fuzz campaign green" true (Simcheck.Fuzz.ok without);
   List.iter2
     (fun (a : Simcheck.Fuzz.variant_summary)
@@ -532,10 +633,6 @@ let test_disabled_emitters_allocate_nothing () =
       ("gauge", fun _ -> H.gauge "g" 1.0);
       ("span", fun _ -> H.span ~lane:1 ~name:"s" ~start_ns:0.0 ~end_ns:1.0 ());
       ("instant", fun _ -> H.instant ~lane:1 ~name:"i" ~ts_ns:0.0 ());
-      ( "traffic",
-        fun _ ->
-          H.traffic ~from_ns:0.0 ~until_ns:1.0 ~nvm:true ~write:true
-            ~cause:Nvmtrace.Recorder.Evac_copy ~bytes:64.0 );
       ("sample", fun _ -> H.sample ~now_ns:0.0 "s" 1.0);
       ("track", fun _ -> H.track ~now_ns:0.0 "t" 1.0);
     ]
@@ -544,7 +641,7 @@ let test_disabled_emitters_allocate_nothing () =
 (* Gc_stats satellite: percentiles and the pause pretty-printer        *)
 
 let test_gc_stats_percentiles () =
-  let run, _, _ = Lazy.force traced in
+  let run, _, _, _ = Lazy.force traced in
   let totals = Nvmgc.Young_gc.totals run.Experiments.Runner.gc in
   let p50 = Nvmgc.Gc_stats.p50_pause_ns totals in
   let p95 = Nvmgc.Gc_stats.p95_pause_ns totals in
@@ -607,6 +704,8 @@ let () =
         [
           Alcotest.test_case "units" `Quick test_metrics_units;
           Alcotest.test_case "from run" `Quick test_metrics_from_run;
+          Alcotest.test_case "counters sum the pause records" `Quick
+            test_counters_sum_records;
           QCheck_alcotest.to_alcotest prop_merge_commutative;
           QCheck_alcotest.to_alcotest prop_merge_associative;
           QCheck_alcotest.to_alcotest prop_hist_quantile_bounds;
