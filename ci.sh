@@ -276,15 +276,39 @@ ledger_floor verified-fig5 "$verified_fig5_baseline"
 # diff layer shares across commits (`ledger.exe compare`).  Its Chrome
 # trace lands in the ignored _ledger/ directory.
 dune exec --profile release bench/ledger/ledger.exe -- \
-  --workload sweep-fig5 --trace 1 --out "$tmp/profile.jsonl" > /dev/null
+  --workload sweep-fig5 --trace 1 --out "$tmp/profile.jsonl" \
+  > "$tmp/profile.out"
 test -s "$tmp/profile.jsonl"
+
+# Work-count ratchet: the traced run's simulated work and its allocation
+# are pure functions of the code, not of the host, so unlike the floors
+# above these gates are exact.  Each count fails CI when it rises above
+# its ceiling (one extra memory access per pause is enough); when a
+# change lowers a count, lower its ceiling to the new reading.  Readings
+# on the tree that added the gate.
+profile=$(tail -n 1 "$tmp/profile.out")
+for pin in memsim.access_calls:1724040 memsim.llc_run_calls:1529916 \
+  memsim.llc_line_accesses:2629847 memsim.llc_writebacks:1023406 \
+  ocaml.minor_words_per_object:67.0341; do
+  name=${pin%%:*}
+  ceiling=${pin#*:}
+  value=$(printf '%s\n' "$profile" \
+    | sed -n "s/.*\"$name\":{\"value\":\([0-9.e+]*\).*/\1/p")
+  echo "ledger sweep-fig5 $name: ${value:-missing} (ceiling $ceiling)"
+  if [ -z "$value" ] \
+    || ! awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v <= c) }'; then
+    echo "ci: FAIL: traced sweep-fig5 $name = ${value:-missing}," \
+      "ceiling $ceiling: the simulator does more work per sweep" >&2
+    exit 1
+  fi
+done
 
 # Parallel non-degradation gate: bench_parallel times the same sweep at
 # --jobs 1/2/4/8 inside one process and emits BENCH_parallel.json.  The
 # pool clamps to the host's domain count, so --jobs > 1 must never be
 # slower than serial beyond dispatch overhead + timing noise; fail if
 # any sweep_speedup falls below 0.75x serial.
-# It runs in $tmp so the checked-in BENCH_parallel.json stays untouched.
+# It runs in $tmp so the work tree stays as it was.
 dune build bench/bench_parallel.exe
 ( cd "$tmp" && "$repo/_build/default/bench/bench_parallel.exe" )
 # A 1-domain host clamps every job count to one worker, making this gate

@@ -284,7 +284,10 @@ let publish t evac (p : Gc_stats.pause) ~start_ns ~traverse_end ~flush_end
     count "gc.steals" p.steals;
     count "gc.async_flushes" p.async_flushes;
     count "gc.sync_flushes" p.sync_flushes;
-    Nvmtrace.Hooks.gauge "gc.header_map_occupancy" p.header_map_occupancy;
+    (* Only a collector with a header map sets the gauge, so the parallel
+       merge of a sweep keeps the last pause that had one. *)
+    if t.header_map <> None then
+      Nvmtrace.Hooks.gauge "gc.header_map_occupancy" p.header_map_occupancy;
     count_some "header_map.installs" p.header_map_installs;
     count_some "header_map.hits" p.header_map_hits;
     count_some "header_map.fallbacks" p.header_map_fallbacks;

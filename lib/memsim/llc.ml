@@ -23,19 +23,17 @@ let line_bytes = 64
    cost 4 blocks per set, promoted out of the minor heap at the next
    minor GC).
 
-   - [tags] / [stamp]: set [s]'s ways occupy [s lsl wshift .. + ways) —
+   - [tags] / [link]: set [s]'s ways occupy [s lsl wshift .. + ways) —
      a power-of-two way stride, so the set base is a shift.  [tags.(i)]
-     is the resident line id (-1 = invalid); [stamp.(i)] the cache-global
-     tick of the way's last touch, the victim being the smallest stamp.
-     Stamps start at distinct negative values so untouched ways are
-     evicted highest-index-first (stamps stay pairwise distinct, so the
-     LRU choice is always unique).  Padding ways past [ways] are never
-     read.
+     is the resident line id (-1 = invalid); [link.(i)] packs the way's
+     neighbours in the set's recency list, [(prev lsl 7) lor next]
+     ([nil] = 127: ways are at most 63, so 7-bit fields fit), prev
+     being the more recently touched side.  Padding ways past [ways]
+     are never read.
    - [meta]: one [1 lsl mshift]-word block per set (8 words = one 64-byte
      cache line up to 14 ways) holding, at the [m_*] offsets below:
-     the way hint (way of the most recent hit/install, checked before
-     the fingerprint scan — a line is resident in at most one way, so
-     the hint can only short-circuit to the same answer), the
+     the list ends [(head lsl 7) lor tail] (head = most recently
+     touched way, tail = the LRU victim), the
      [prefetched] / [dirty] / [nvm] / [seqw] way bitmasks ([nvm]: the
      line belongs to the NVM space; [seqw]: it was dirtied by a
      sequential write, so its write-back drains at the sequential rate;
@@ -48,8 +46,13 @@ let line_bytes = 64
    equal-lane test instead of walking [tags] — one ALU probe covers 7
    ways.  The lane test can report false positives (borrow propagation
    in the subtraction trick), never false negatives, so candidates are
-   confirmed against [tags]. *)
-let m_hint = 0
+   confirmed against [tags].
+
+   Replacement: a hit or install moves its way to the head of the list
+   ({!touch}) and a miss evicts the tail, so both cost O(1) whatever the
+   associativity.  A fresh set's list runs 0, 1, .., ways-1 from head to
+   tail, so untouched ways are evicted highest index first. *)
+let m_ends = 0
 let m_prefetched = 1
 let m_dirty = 2
 let m_nvm = 3
@@ -61,18 +64,17 @@ type t = {
   nsets : int;
   set_mask : int;  (** nsets - 1; nsets is a power of two *)
   ways : int;
-  wshift : int;  (** log2 of the way stride in [tags] / [stamp] *)
+  wshift : int;  (** log2 of the way stride in [tags] / [link] *)
   mshift : int;  (** log2 of the per-set block size in [meta] *)
   fp_words : int;
   tags : int array;
-  stamp : int array;
+  link : int array;
   meta : int array;
   touched : int array;
       (** indices of the sets filled since creation or the last {!reset},
           in first-fill order; a set is listed once, guarded by its
           [m_touched] flag *)
   mutable n_touched : int;
-  mutable tick : int;  (** monotone touch counter feeding [stamp] *)
   (* Write-back buffer: dirty evictions produced by {!access_run} and
      {!prefetch_q} accumulate here, so a whole contiguous N-line run can
      be walked without draining between probes.  Each entry packs the
@@ -112,18 +114,26 @@ let log2_ceil n =
 
 let max_ways = 63
 
-(* Initial state of set [s]: no line resident, distinct negative stamps,
-   zero hint, masks and touched flag, every fingerprint lane absent. *)
+(* Recency-list packing: 7-bit way indices, [nil] past any legal way. *)
+let way_bits = 7
+let way_mask = (1 lsl way_bits) - 1
+let nil = way_mask
+
+(* Initial state of set [s]: no line resident, recency list 0 .. ways-1,
+   zero masks and touched flag, every fingerprint lane absent. *)
 (* Plain loops rather than [Array.fill]: a set is a dozen words, and
    {!reset} re-initialises every touched set of a fuzz run's memory, where
    three C calls per set cost more than the stores. *)
-let init_set ~ways ~wshift ~mshift ~fp_words tags stamp meta s =
+let init_set ~ways ~wshift ~mshift ~fp_words tags link meta s =
   let tb = s lsl wshift and mb = s lsl mshift in
   for i = 0 to ways - 1 do
     tags.(tb + i) <- -1;
-    stamp.(tb + i) <- -i
+    link.(tb + i) <-
+      ((if i = 0 then nil else i - 1) lsl way_bits)
+      lor if i = ways - 1 then nil else i + 1
   done;
-  for i = 0 to m_fps - 1 do
+  meta.(mb + m_ends) <- ways - 1;
+  for i = m_ends + 1 to m_fps - 1 do
     meta.(mb + i) <- 0
   done;
   for i = 0 to fp_words - 1 do
@@ -142,10 +152,10 @@ let create ~capacity_bytes ~ways =
   let fp_words = (ways + fp_lanes - 1) / fp_lanes in
   let wshift = log2_ceil ways and mshift = log2_ceil (m_fps + fp_words) in
   let tags = Array.make (nsets lsl wshift) (-1) in
-  let stamp = Array.make (nsets lsl wshift) 0 in
+  let link = Array.make (nsets lsl wshift) 0 in
   let meta = Array.make (nsets lsl mshift) 0 in
   for s = 0 to nsets - 1 do
-    init_set ~ways ~wshift ~mshift ~fp_words tags stamp meta s
+    init_set ~ways ~wshift ~mshift ~fp_words tags link meta s
   done;
   {
     nsets;
@@ -155,11 +165,10 @@ let create ~capacity_bytes ~ways =
     mshift;
     fp_words;
     tags;
-    stamp;
+    link;
     meta;
     touched = Array.make nsets 0;
     n_touched = 0;
-    tick = 1;
     run_wb = Array.make 64 0;
     run_wb_len = 0;
     hits = 0;
@@ -185,7 +194,7 @@ let fp_of_hash h = (h lsr 24) land 0xff
    [tags].  The lane loop is bounded by [ways], never the lane count —
    the tail word's spare lanes hold [fp_absent] and under [-unsafe] an
    unchecked [tags] read past [ways] must stay unreachable.  Pure:
-   mutates no LRU/hint state. *)
+   mutates no recency state. *)
 (* The scan/confirm recursions live at top level with all state passed
    as arguments: a captured local [let rec] costs a closure allocation
    per call in classic (non-flambda) ocamlopt, and this probe runs once
@@ -225,32 +234,42 @@ let rec fp_scan (meta : int array) (tags : int array) (fb : int)
 let[@inline] fp_probe t ~tb ~mb line ~fp =
   fp_scan t.meta t.tags (mb + m_fps) t.fp_words (fp * fp_low) line tb t.ways 0
 
+(* The head (the way touched last) is checked before the fingerprint
+   scan: a line is resident in at most one way, so it can only
+   short-circuit to the scan's answer.  Pure, like [fp_probe]. *)
 let[@inline] find_way t ~tb ~mb line ~fp =
-  let meta = t.meta in
-  let hint = meta.(mb + m_hint) in
-  if t.tags.(tb + hint) = line then hint
-  else begin
-    let way = fp_probe t ~tb ~mb line ~fp in
-    if way >= 0 then meta.(mb + m_hint) <- way;
-    way
-  end
+  let head = t.meta.(mb + m_ends) lsr way_bits in
+  if t.tags.(tb + head) = line then head else fp_probe t ~tb ~mb line ~fp
 
-let[@inline] touch t ~tb way =
-  t.stamp.(tb + way) <- t.tick;
-  t.tick <- t.tick + 1
+(* Make [way] the most recently used: unlink it and push it on the head.
+   The head itself is already in place (always so in a 1-way set). *)
+let[@inline] touch t ~tb ~mb way =
+  let meta = t.meta in
+  let ends = meta.(mb + m_ends) in
+  let head = ends lsr way_bits in
+  if way <> head then begin
+    let link = t.link in
+    let l = link.(tb + way) in
+    (* not the head, so [prev] is a way *)
+    let prev = l lsr way_bits and next = l land way_mask in
+    link.(tb + prev) <- link.(tb + prev) land lnot way_mask lor next;
+    let tail =
+      if next = nil then prev
+      else begin
+        link.(tb + next) <-
+          (prev lsl way_bits) lor (link.(tb + next) land way_mask);
+        ends land way_mask
+      end
+    in
+    link.(tb + way) <- (nil lsl way_bits) lor head;
+    link.(tb + head) <- (way lsl way_bits) lor (link.(tb + head) land way_mask);
+    meta.(mb + m_ends) <- (way lsl way_bits) lor tail
+  end
 
 (* Record way [way]'s fingerprint (or [fp_absent]) in the packed words. *)
 let set_fp (meta : int array) ~mb way fp =
   let w = mb + m_fps + (way / fp_lanes) and sh = way mod fp_lanes * fp_shift in
   meta.(w) <- meta.(w) land lnot (fp_lane_mask lsl sh) lor (fp lsl sh)
-
-(* Top level for the same no-closure reason as [fp_scan]. *)
-let rec victim_loop (stamp : int array) (tb : int) (n : int) (i : int)
-    (best : int) =
-  if i >= n then best
-  else
-    victim_loop stamp tb n (i + 1)
-      (if stamp.(tb + i) < stamp.(tb + best) then i else best)
 
 type outcome = Hit | Miss | Prefetched_hit
 
@@ -271,12 +290,12 @@ let note_touched t s ~mb =
   t.touched.(t.n_touched) <- s;
   t.n_touched <- t.n_touched + 1
 
-(* Install [line] in set [s] at [tb]/[mb], evicting the LRU way.  Returns
-   the way used; a dirty eviction is appended to the write-back
-   buffer. *)
+(* Install [line] in set [s] at [tb]/[mb], evicting the LRU way (the
+   list's tail), which then becomes the head.  Returns the way used; a
+   dirty eviction is appended to the write-back buffer. *)
 let install t s ~tb ~mb line ~fp ~write ~seq ~nvm =
   let meta = t.meta and tags = t.tags in
-  let way = victim_loop t.stamp tb t.ways 1 0 in
+  let way = meta.(mb + m_ends) land way_mask in
   let bit = 1 lsl way in
   let dirty = meta.(mb + m_dirty) and seqw = meta.(mb + m_seqw) in
   let nvm_mask = meta.(mb + m_nvm) in
@@ -298,8 +317,7 @@ let install t s ~tb ~mb line ~fp ~write ~seq ~nvm =
     (if write && seq then seqw lor bit else seqw land lnot bit);
   meta.(mb + m_nvm) <-
     (if nvm then nvm_mask lor bit else nvm_mask land lnot bit);
-  meta.(mb + m_hint) <- way;
-  touch t ~tb way;
+  touch t ~tb ~mb way;
   way
 
 (* One line of a run: lookup, and on a miss fill, with the LRU/dirty/
@@ -311,7 +329,7 @@ let[@inline] run_line t h line ~write ~seq ~nvm =
   let tb = s lsl t.wshift and mb = s lsl t.mshift in
   let way = find_way t ~tb ~mb line ~fp in
   if way >= 0 then begin
-    touch t ~tb way;
+    touch t ~tb ~mb way;
     let meta = t.meta in
     let bit = 1 lsl way in
     if write then begin
@@ -391,8 +409,8 @@ let prefetch_q t addr ~nvm =
 (* Pure residency query: is the line containing [addr] resident and
    dirty?  Used by the crash model — dirty lines die with the cache, so
    an NVM address whose line sits dirty here has not reached the device.
-   Deliberately avoids [find_way]: no LRU stamp or way-hint mutation, so
-   querying is pure observation ([fp_probe] mutates nothing). *)
+   Touches no recency state ([fp_probe] mutates nothing), so querying
+   is pure observation. *)
 let line_dirty t addr =
   let line = addr / line_bytes in
   let h = hash_line line in
@@ -402,7 +420,7 @@ let line_dirty t addr =
   way >= 0 && t.meta.(mb + m_dirty) land (1 lsl way) <> 0
 
 (* Only [install] moves a set out of its initial state: a probe of a
-   pristine set finds nothing and mutates nothing (the hint confirms
+   pristine set finds nothing and mutates nothing (the head confirms
    against a [-1] tag, [touch] follows only a hit), and a hit needs an
    installed way.  So re-initialising the sets [install] listed restores
    the whole cache, in time proportional to the sets used, with no check
@@ -410,10 +428,9 @@ let line_dirty t addr =
 let reset t =
   for k = 0 to t.n_touched - 1 do
     init_set ~ways:t.ways ~wshift:t.wshift ~mshift:t.mshift
-      ~fp_words:t.fp_words t.tags t.stamp t.meta t.touched.(k)
+      ~fp_words:t.fp_words t.tags t.link t.meta t.touched.(k)
   done;
   t.n_touched <- 0;
-  t.tick <- 1;
   t.run_wb_len <- 0;
   t.hits <- 0;
   t.misses <- 0;

@@ -10,10 +10,12 @@ type outcome = Hit | Miss | Prefetched_hit
 val create : capacity_bytes:int -> ways:int -> t
 (** Set count is rounded down to a power of two.  Makes a constant
     number of allocations whatever the set count: the state of all sets
-    lives in flat int arrays (tags, LRU stamps, a metadata block per set
-    — 8 words, one cache line, up to 14 ways — and the touched-set list
-    {!reset} walks), so a large cache costs a few major-heap blocks
-    rather than several small blocks per set.
+    lives in flat int arrays (tags, the links of each set's LRU recency
+    list, a metadata block per set — 8 words, one cache line, up to 14
+    ways — and the touched-set list {!reset} walks), so a large cache
+    costs a few major-heap blocks rather than several small blocks per
+    set.  Replacement is exact LRU; a hit, a fill and the choice of a
+    victim each cost O(1) whatever the way count.
 
     @raise Invalid_argument unless [1 <= ways <= 63]: each set keeps its
     per-way dirty, prefetched and write-back flags as bits of one native
@@ -52,7 +54,7 @@ val line_dirty : t -> int -> bool
 
 val reset : t -> unit
 (** Return the cache to the state {!create} left it in: no line resident,
-    LRU order, way hints, write-back buffer and counters as new, so no
+    LRU order, write-back buffer and counters as new, so no
     query can tell the two apart.  Dirty lines are discarded, not written
     back.  Costs time proportional to the sets filled since creation or
     the previous reset, and allocates nothing. *)

@@ -335,13 +335,20 @@ let gen_llc_op ~span =
       (1, pure Reset);
     ]
 
+(* Every legal associativity, weighted toward the shapes that stress the
+   recency list: 1 way (head = tail), 2, the default 11, 16, and 63 (six
+   bits per way index, nine fingerprint words). *)
+let gen_ways =
+  QCheck2.Gen.(
+    frequency [ (1, oneofl [ 1; 2; 11; 16; 63 ]); (1, int_range 1 63) ])
+
 let prop_llc_matches_reference =
   QCheck2.Test.make ~name:"llc agrees with a per-set MRU-list model" ~count:300
     ~print:(fun (ways, nsets, ops) ->
       Printf.sprintf "ways=%d nsets=%d [%s]" ways nsets
         (String.concat "; " (List.map show_llc_op ops)))
     QCheck2.Gen.(
-      int_range 1 16 >>= fun ways ->
+      gen_ways >>= fun ways ->
       int_range 0 3 >>= fun k ->
       let nsets = 1 lsl k in
       (* about four cache capacities' worth of distinct lines *)
@@ -681,7 +688,8 @@ let prop_recorder_cause_totals_exact =
    totals, pipe and per-class service time, LLC counters, the traces,
    the attribution cause, durability tracking and its undurable lines,
    and, with the recorder installed, every per-cause total.  The LLC has
-   1-4 sets of 1-8 ways, so evictions and dirty write-backs happen, and
+   1-4 sets of 1-8, 11 or 63 ways, so evictions and dirty write-backs
+   happen, and
    trace buckets are 500 ns wide, so charges spread over several. *)
 type mem_op =
   | M_access of {
@@ -779,7 +787,7 @@ let prop_reset_is_fresh =
         (String.concat " reset " (List.map show prefixes))
         (show suffix))
     QCheck2.Gen.(
-      int_range 1 8 >>= fun ways ->
+      frequency [ (4, int_range 1 8); (1, oneofl [ 11; 63 ]) ] >>= fun ways ->
       int_range 0 2 >>= fun k ->
       let nsets = 1 lsl k in
       let ops = list_size (int_range 0 60) (gen_mem_op ~span:(4 * ways * nsets)) in

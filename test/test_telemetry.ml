@@ -558,6 +558,32 @@ let test_counters_sum_records () =
 (* ------------------------------------------------------------------ *)
 (* Determinism: telemetry is pure observation                          *)
 
+(* The occupancy gauge across the parallel merge: a sweep whose last cell
+   runs without a header map still reports the last pause that had one,
+   not that cell's 0. *)
+let test_occupancy_gauge_merge () =
+  let opts = { opts with jobs = 2 } in
+  let rows, _, metrics, _ =
+    with_telemetry (fun () ->
+        Experiments.Runner.parallel_cells opts
+          ~setups:[ Experiments.Runner.All_opts; Experiments.Runner.Vanilla ]
+          ~f:(fun app s -> Experiments.Runner.execute opts app s)
+          [ Workloads.Apps.page_rank ])
+  in
+  match rows with
+  | [ (_, [ all; _ ]) ] ->
+      let pauses = all.Experiments.Runner.result.Workloads.Mutator.pauses in
+      let last = List.nth pauses (List.length pauses - 1) in
+      let occupancy =
+        last.Workloads.Mutator.pause.Nvmgc.Gc_stats.header_map_occupancy
+      in
+      check_bool "+all occupancy nonzero" true (occupancy > 0.0);
+      Alcotest.(check (float 0.0))
+        "merged gauge = +all's last pause" occupancy
+        (List.assoc "gc.header_map_occupancy"
+           (Nvmtrace.Metrics.snapshot metrics).Nvmtrace.Metrics.gauges)
+  | _ -> Alcotest.fail "expected one row of two cells"
+
 let test_determinism () =
   (* Same options, same seed, no hooks installed. *)
   let plain =
@@ -706,6 +732,8 @@ let () =
           Alcotest.test_case "from run" `Quick test_metrics_from_run;
           Alcotest.test_case "counters sum the pause records" `Quick
             test_counters_sum_records;
+          Alcotest.test_case "occupancy gauge survives the merge" `Quick
+            test_occupancy_gauge_merge;
           QCheck_alcotest.to_alcotest prop_merge_commutative;
           QCheck_alcotest.to_alcotest prop_merge_associative;
           QCheck_alcotest.to_alcotest prop_hist_quantile_bounds;
