@@ -168,6 +168,9 @@ type t = {
           the schedule the one matching the current runnable count, so a
           step allocates no array *)
   mutable victim_bufs : int array array;  (** the same for steal victims *)
+  mutable clock_heap : Clock_heap.t;
+      (** the min-clock engine's thread order, sized for every thread
+          record, so a run allocates no heap *)
   mutable last_copy_home : int;
       (** home (cache-region index) of the first slot pushed by the most
           recent {!copy_object} — the flush tracker pairs it with that
@@ -266,6 +269,7 @@ let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map () =
       mark_stolen = ignore;
       runnable_bufs = buffers (n + 1);
       victim_bufs = buffers n;
+      clock_heap = Clock_heap.create n;
       last_copy_home = -1;
       scratch_first_slot = Work_stack.no_slot;
       pair_by_region = Array.make 8 None;
@@ -364,7 +368,8 @@ let set_threads t n =
       Array.init (n + 1) (fun k ->
           if k = n then all else if k < max then t.by_count.(k) else [||]);
     t.runnable_bufs <- buffers (n + 1);
-    t.victim_bufs <- buffers n
+    t.victim_bufs <- buffers n;
+    t.clock_heap <- Clock_heap.create n
   end;
   if Array.length t.by_count.(n) <> n then
     t.by_count.(n) <- Array.sub t.by_count.(Array.length t.by_count - 1) 0 n;
@@ -1017,26 +1022,6 @@ let process_item t th ~slot ~home =
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 
-(* Index of the non-terminated thread with the smallest clock (ties by
-   lowest tid), -1 when all are terminated.  Allocation-free: this runs
-   once per popped work item, scanning every thread. *)
-(* Top-level recursion carrying only ints (the current best's clock is
-   re-read by index): both a [ref] pair and a captured local [let rec]
-   would allocate once per popped work item in classic ocamlopt. *)
-let rec min_clock_go threads n i best =
-  if i >= n then best
-  else begin
-    let th = threads.(i) in
-    let best =
-      if th.terminated then best
-      else if best < 0 || th.clock.(0) < threads.(best).clock.(0) then i
-      else best
-    in
-    min_clock_go threads n (i + 1) best
-  end
-
-let min_clock_thread t = min_clock_go t.threads (Array.length t.threads) 0 (-1)
-
 (* A schedule's answer clamped into [0, n): in range it is used as is,
    sparing the two divisions of the general case on every step. *)
 let[@inline] clamp_pick i n = if i >= 0 && i < n then i else ((i mod n) + n) mod n
@@ -1144,32 +1129,45 @@ let charge_remset_scan t ~tid ~bytes =
     ~pattern:Memsim.Access.Sequential ~bytes
 
 (** The production engine: deterministic min-clock scheduling with the
-    largest-stack steal policy and the spin-based termination protocol. *)
+    largest-stack steal policy and the spin-based termination protocol.
+
+    The next thread is the non-terminated one with the smallest clock,
+    ties to the lowest index, kept in a {!Clock_heap}.  One sift at the
+    root per step keeps the heap exact because a step changes only the
+    stepping thread's clock and [terminated] flag: every clock store in
+    the loop is a [charge], [charge_forced] or [charge_cpu] on the
+    stepping thread, or [try_steal]'s sync of the thief, which is the
+    stepping thread.  The heap is built from the clocks at entry, since
+    the remembered-set scan charges threads before [run]. *)
 let run_min_clock t =
-  let continue_ = ref true in
-  while !continue_ do
-    match min_clock_thread t with
-    | -1 -> continue_ := false
-    | i -> begin
-        let th = t.threads.(i) in
-        if not (Work_stack.is_empty th.stack) then begin
-          let slot = Work_stack.pop_nonempty th.stack in
-          let home = Work_stack.popped_home th.stack in
-          if Work_stack.is_empty th.stack then t.busy <- t.busy - 1;
-          (* popping may empty the stack; pushes during processing
-             re-mark it busy *)
-          process_item t th ~slot ~home
-        end
-        else if not (try_steal t th) then begin
-              if all_stacks_empty t then th.terminated <- true
-              else begin
-                (* Someone still holds unstealable work (e.g. a chain):
-                   spin in the termination protocol and retry. *)
-                th.spin_ns.(0) <- th.spin_ns.(0) +. idle_spin_ns;
-                charge_cpu th idle_spin_ns
-              end
-            end
+  let threads = t.threads in
+  let heap = t.clock_heap in
+  Clock_heap.clear heap;
+  for i = 0 to Array.length threads - 1 do
+    if not threads.(i).terminated then
+      Clock_heap.add heap i threads.(i).clock.(0)
+  done;
+  while not (Clock_heap.is_empty heap) do
+    let th = threads.(Clock_heap.top heap) in
+    if not (Work_stack.is_empty th.stack) then begin
+      let slot = Work_stack.pop_nonempty th.stack in
+      let home = Work_stack.popped_home th.stack in
+      if Work_stack.is_empty th.stack then t.busy <- t.busy - 1;
+      (* popping may empty the stack; pushes during processing
+         re-mark it busy *)
+      process_item t th ~slot ~home
+    end
+    else if not (try_steal t th) then begin
+      if all_stacks_empty t then th.terminated <- true
+      else begin
+        (* Someone still holds unstealable work (e.g. a chain):
+           spin in the termination protocol and retry. *)
+        th.spin_ns.(0) <- th.spin_ns.(0) +. idle_spin_ns;
+        charge_cpu th idle_spin_ns
       end
+    end;
+    if th.terminated then Clock_heap.pop heap
+    else Clock_heap.set_top_key heap th.clock.(0)
   done
 
 (* Thread ids able to make progress right now: a non-empty stack (pop) or

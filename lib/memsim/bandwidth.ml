@@ -17,21 +17,34 @@
        sequential ones, and non-temporal sequential stores see a higher
        write cap than regular stores. *)
 
+(** [Float.min] and [Float.max], bit for bit, without their cost:
+    the stdlib pair calls [sign_bit] (a C call) whenever its first
+    comparison fails, which on the memory model's path is about half
+    the time.  A strict comparison decides every input but ties and
+    NaNs, and there the stdlib decides ([-0.0] against [+0.0], NaN
+    propagation). *)
+let[@inline] fmin x y =
+  if y < x then y else if x < y then x else Float.min x y
+
+let[@inline] fmax x y =
+  if y > x then y else if x > y then x else Float.max x y
+
 (** The mix "bowl" in [0, 1]: 0 for pure reads or pure writes, peaking at
     50/50.  It saturates quickly in the write fraction: on Optane even a
     ~10 % write share collapses the total bandwidth (Izraelevitz et al.),
     which is why eliminating *most* writes (write cache) recovers little
     until the remaining header/reference writes also go (header map).
     The [**] makes this the single most expensive float operation on the
-    hot path, so {!Memory.access_run_into} computes it once per access
-    and feeds the [~bowl] variants below. *)
+    hot path: {!Memory.access_run_into} computes it once per access that
+    reaches a device, and feeds the [~bowl] variants below, and the
+    write-back drain once per evicted dirty line. *)
 let[@inline] mix_bowl ~write_frac =
-  let w = Float.max 0.0 (Float.min 1.0 write_frac) in
+  let w = fmax 0.0 (fmin 1.0 write_frac) in
   (4.0 *. w *. (1.0 -. w)) ** 0.30
 
 (* floor keeps a pathological mix from zeroing bandwidth entirely *)
 let[@inline] penalty_of_bowl (d : Device.t) ~bowl =
-  Float.max 0.18 (1.0 -. (d.Device.write_interference *. bowl))
+  fmax 0.18 (1.0 -. (d.Device.write_interference *. bowl))
 
 (** Interference penalty multiplier in (0, 1]; 1 when the stream is pure
     reads or pure writes. *)
@@ -50,7 +63,7 @@ let[@inline] device_cap_b (d : Device.t) (kind : Access.kind) (pattern : Access.
          largely, not fully: interleaving them with a read stream (as
          asynchronous flushing does) still shares the media, at half the
          usual interference. *)
-      base *. Float.max 0.18 (1.0 -. (d.Device.write_interference /. 2.0 *. bowl))
+      base *. fmax 0.18 (1.0 -. (d.Device.write_interference /. 2.0 *. bowl))
   | Access.Read | Access.Write ->
       (* Reads and writes contend through the shared device pipe; the
          interference penalty shrinks every class's rate when the recent
@@ -89,7 +102,7 @@ let total_cap (d : Device.t) ~write_frac
     the service rate of the queueing model in {!Memory}. *)
 let[@inline] service_gbps_b (d : Device.t) (kind : Access.kind)
     (pattern : Access.pattern) ~bowl =
-  Float.max 0.05 (device_cap_b d kind pattern ~bowl)
+  fmax 0.05 (device_cap_b d kind pattern ~bowl)
 
 let service_gbps (d : Device.t) (kind : Access.kind)
     (pattern : Access.pattern) ~write_frac =
@@ -108,7 +121,7 @@ let[@inline] effective_gbps_b (d : Device.t) (kind : Access.kind)
     | Access.Read | Access.Write ->
         Device.thread_bw d kind pattern *. penalty_of_bowl d ~bowl
   in
-  Float.max 0.05 (Float.min solo cap)
+  fmax 0.05 (fmin solo cap)
 
 let effective_gbps (d : Device.t) (kind : Access.kind)
     (pattern : Access.pattern) ~write_frac =

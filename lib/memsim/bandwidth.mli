@@ -5,9 +5,17 @@ val mix_penalty : Device.t -> write_frac:float -> float
 (** Multiplier in (0, 1]; 1 for pure-read or pure-write streams, minimal
     for 50/50 mixes on high-interference devices. *)
 
+val fmin : float -> float -> float
+(** [Float.min], equal to it bit for bit on every input (signed zeros
+    and NaNs included), but with no C call outside ties and NaNs. *)
+
+val fmax : float -> float -> float
+(** [Float.max], likewise. *)
+
 val mix_bowl : write_frac:float -> float
 (** Device-independent part of the penalty ([(4w(1-w))^0.3]) — the one
-    [**] on the hot path.  Compute once per access and feed the [_b]
+    [**] on the hot path, run once per device access and once per
+    drained write-back.  Compute once per access and feed the [_b]
     variants below; [f_b d k p ~bowl:(mix_bowl ~write_frac)] is
     float-identical to [f d k p ~write_frac]. *)
 

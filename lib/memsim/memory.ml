@@ -119,19 +119,26 @@ let[@inline] class_idx (kind : Access.kind) (pattern : Access.pattern) =
 
 let pipe_burst_ns = 4_000.0
 
+let fmin = Bandwidth.fmin
+let fmax = Bandwidth.fmax
+
+(* The pipe's credit at [now_ns]: credit accrues at wall rate up to a
+   small burst.  Arrivals slightly in the past (clock skew between
+   simulated threads) accrue none. *)
+let[@inline] pipe_accrue t idx ~now_ns =
+  let dt = fmax 0.0 (now_ns -. t.pipe_last_ns.(idx)) in
+  t.pipe_last_ns.(idx) <- fmax t.pipe_last_ns.(idx) now_ns;
+  fmin pipe_burst_ns (t.pipe_credit_ns.(idx) +. dt)
+
 (* Consume [service_ns] of device-pipe credit at [now_ns]; returns the
-   queueing wait (the backlog ahead of this access).  Credit accrues at
-   wall rate up to a small burst and goes negative under overload — the
-   negative part is the backlog every new arrival waits behind, which is
-   what pins aggregate throughput at the device rate.  Arrivals slightly
-   in the past (clock skew between simulated threads) accrue no credit
-   but still join the queue. *)
+   queueing wait (the backlog ahead of this access).  Credit goes
+   negative under overload — the negative part is the backlog every new
+   arrival waits behind, which is what pins aggregate throughput at the
+   device rate.  Arrivals in the past still join the queue. *)
 let[@inline] pipe_consume t idx ~now_ns ~service_ns =
-  let dt = Float.max 0.0 (now_ns -. t.pipe_last_ns.(idx)) in
-  t.pipe_last_ns.(idx) <- Float.max t.pipe_last_ns.(idx) now_ns;
-  let credit = Float.min pipe_burst_ns (t.pipe_credit_ns.(idx) +. dt) in
+  let credit = pipe_accrue t idx ~now_ns in
   t.pipe_service_ns.(idx) <- t.pipe_service_ns.(idx) +. service_ns;
-  let wait = Float.max 0.0 (-.credit) in
+  let wait = fmax 0.0 (-.credit) in
   t.pipe_credit_ns.(idx) <- credit -. service_ns;
   t.pipe_wait_ns.(idx) <- t.pipe_wait_ns.(idx) +. wait;
   wait
@@ -304,60 +311,115 @@ let[@inline] record_mix t space ~now_ns ~bytes (kind : Access.kind)
   | Access.Write, Access.Sequential | Access.Nt_write, _ ->
       mix.write_seq <- mix.write_seq +. b
 
-(* Device/bandwidth part of one evicted-dirty-line write-back: a posted
-   64-byte write to its backing device.  The evicting thread does not
-   stall on it, but it consumes device-pipe bandwidth and counts as
-   write traffic — this is how cached random header/reference updates
-   become the NVM writes the paper measures.  Recorder attribution is
-   the caller's business (the run drain batches it per space). *)
-let[@inline] wb_device_charge t ~now_ns ~nvm ~seq =
-  let space = if nvm then Access.Nvm else Access.Dram in
-  let pattern = if seq then Access.Sequential else Access.Random in
-  let idx = space_index space in
-  let w = write_frac t space ~now_ns in
-  record_mix t space ~now_ns ~bytes:Llc.line_bytes Access.Write pattern;
-  let rate =
-    Bandwidth.service_gbps (device t space) Access.Write pattern ~write_frac:w
-  in
-  let svc = Bandwidth.transfer_ns ~bytes:Llc.line_bytes ~gbps:rate in
-  ignore (pipe_consume t idx ~now_ns ~service_ns:svc);
-  t.service_by_class.(idx).(5) <- t.service_by_class.(idx).(5) +. svc;
-  t.totals.(idx).write_bytes <-
-    t.totals.(idx).write_bytes +. float_of_int Llc.line_bytes;
-  if t.config.trace_enabled then
-    Simstats.Timeseries.add t.trace_write.(idx) ~time_ns:now_ns
-      (float_of_int Llc.line_bytes)
-
 (* Drain the dirty evictions buffered by an {!Llc.access_run} walk or an
-   {!Llc.prefetch_q}, in eviction order.  Evicted dirty lines are posted
-   write-backs: flush-pipeline traffic regardless of which subsystem
-   dirtied the line.  Float-for-float identical to the retired interleaved
-   probe/charge loop: a write-back charge reads no LLC state and a probe
-   reads no mix/pipe state, so only the order AMONG the charges is
-   observable — and that order is preserved.  Recorder attribution is
+   {!Llc.prefetch_q}.  Each is a posted 64-byte write-back to its backing
+   device: the evicting thread does not stall on it, but it consumes
+   device-pipe bandwidth and counts as write traffic, whichever subsystem
+   dirtied the line — this is how cached random header/reference updates
+   become the NVM writes the paper measures.
+
+   Float-for-float identical to charging every line in eviction order
+   with the full write-fraction / mix / service / pipe sequence of an
+   access:
+   - a write-back charge reads no LLC state and a probe reads no mix or
+     pipe state, so only the order among the charges is observable;
+   - a DRAM and an NVM charge touch disjoint state (that space's mix
+     EMA, pipe credit, service and wait, class-5 service, write totals
+     and write trace), so only the order within a space is: each space's
+     lines are charged in one pass, in eviction order;
+   - every charge is at [now_ns].  The space's first one decays the mix
+     to [now_ns] and accrues pipe credit; after it, a decay sees
+     [dt <= 0] and an accrual sees [dt = +0.0] with [credit <= burst],
+     both the identity — save a credit of [-0.0], which becomes [+0.0],
+     where the wait is [0] either way and [credit -. service] agrees.
+     So both run once per space, and the mix, credit, service, wait,
+     class-5 and write-byte sums live in locals, stored back once.
+   Per line the float operations and their order are the retired
+   per-line charge's, the bowl's [**] included.  Recorder attribution is
    batched into at most one delta per space: every contribution is an
    integer-valued float below 2^53, so [k] additions of 64 and one
-   addition of [64 k] produce bit-identical totals and window buckets. *)
-let drain_run_wbs t ~now_ns recorder =
+   addition of [64 k] produce bit-identical totals and window buckets.
+   The trace is not batched: [add_spread] leaves fractional buckets.
+   Returns the number of lines charged to the space. *)
+let drain_space t ~now_ns ~nvm =
   let llc = t.llc in
   let n = Llc.run_wb_count llc in
-  let dram_lines = ref 0 and nvm_lines = ref 0 in
-  for i = 0 to n - 1 do
-    let nvm = Llc.run_wb_nvm llc i in
-    wb_device_charge t ~now_ns ~nvm ~seq:(Llc.run_wb_seq llc i);
-    if nvm then incr nvm_lines else incr dram_lines
+  let first = ref 0 in
+  while !first < n && Llc.run_wb_nvm llc !first <> nvm do
+    incr first
   done;
+  if !first >= n then 0
+  else begin
+    let space = if nvm then Access.Nvm else Access.Dram in
+    let idx = space_index space in
+    let dev = device t space in
+    let mix = t.mixes.(idx) in
+    decay_mix t mix ~now_ns;
+    let credit = ref (pipe_accrue t idx ~now_ns) in
+    let service = ref t.pipe_service_ns.(idx) in
+    let wait = ref t.pipe_wait_ns.(idx) in
+    let by_class = t.service_by_class.(idx) in
+    let wb_service = ref by_class.(5) in
+    let tot = t.totals.(idx) in
+    let write_bytes = ref tot.write_bytes in
+    let reads = mix.read_rand +. mix.read_seq in
+    let write_rand = ref mix.write_rand and write_seq = ref mix.write_seq in
+    let line = float_of_int Llc.line_bytes in
+    let trace = t.config.trace_enabled in
+    let lines = ref 0 in
+    for i = !first to n - 1 do
+      if Llc.run_wb_nvm llc i = nvm then begin
+        let total = reads +. !write_rand +. !write_seq in
+        let w =
+          if total <= 0.0 then 0.0 else (!write_rand +. !write_seq) /. total
+        in
+        let pattern =
+          if Llc.run_wb_seq llc i then begin
+            write_seq := !write_seq +. line;
+            Access.Sequential
+          end
+          else begin
+            write_rand := !write_rand +. line;
+            Access.Random
+          end
+        in
+        let rate = Bandwidth.service_gbps dev Access.Write pattern ~write_frac:w in
+        let svc = Bandwidth.transfer_ns ~bytes:Llc.line_bytes ~gbps:rate in
+        service := !service +. svc;
+        let queued = fmax 0.0 (-. !credit) in
+        credit := !credit -. svc;
+        wait := !wait +. queued;
+        wb_service := !wb_service +. svc;
+        write_bytes := !write_bytes +. line;
+        if trace then
+          Simstats.Timeseries.add t.trace_write.(idx) ~time_ns:now_ns line;
+        incr lines
+      end
+    done;
+    mix.write_rand <- !write_rand;
+    mix.write_seq <- !write_seq;
+    t.pipe_credit_ns.(idx) <- !credit;
+    t.pipe_service_ns.(idx) <- !service;
+    t.pipe_wait_ns.(idx) <- !wait;
+    by_class.(5) <- !wb_service;
+    tot.write_bytes <- !write_bytes;
+    !lines
+  end
+
+let drain_run_wbs t ~now_ns recorder =
+  let dram_lines = drain_space t ~now_ns ~nvm:false in
+  let nvm_lines = drain_space t ~now_ns ~nvm:true in
   match recorder with
   | None -> ()
   | Some r ->
-      if !dram_lines > 0 then
+      if dram_lines > 0 then
         Nvmtrace.Recorder.traffic r ~from_ns:now_ns ~until_ns:now_ns
           ~nvm:false ~write:true ~cause:Nvmtrace.Recorder.Flush_pipe
-          ~bytes:(float_of_int (!dram_lines * Llc.line_bytes));
-      if !nvm_lines > 0 then
+          ~bytes:(float_of_int (dram_lines * Llc.line_bytes));
+      if nvm_lines > 0 then
         Nvmtrace.Recorder.traffic r ~from_ns:now_ns ~until_ns:now_ns
           ~nvm:true ~write:true ~cause:Nvmtrace.Recorder.Flush_pipe
-          ~bytes:(float_of_int (!nvm_lines * Llc.line_bytes))
+          ~bytes:(float_of_int (nvm_lines * Llc.line_bytes))
 
 let llc_gbps = 64.0
 
@@ -387,7 +449,7 @@ let[@inline] duration_of t dev ~now_ns ~space ~kind ~pattern ~bytes ~latency ~w
     t.service_by_class.(idx_pipe).(ci) <-
       t.service_by_class.(idx_pipe).(ci) +. service;
     let gbps = Bandwidth.effective_gbps_b dev kind pattern ~bowl in
-    let transfer = Float.max service (Bandwidth.transfer_ns ~bytes ~gbps) in
+    let transfer = fmax service (Bandwidth.transfer_ns ~bytes ~gbps) in
     queue_wait +. latency +. transfer
   end
 

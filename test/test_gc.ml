@@ -565,6 +565,74 @@ let prop_soa_matches_reference_model =
       check (drain thief = rdrain rthief);
       !ok)
 
+(* The min-clock engine's heap against the linear scan it replaced: the
+   first index with the strictly smallest key among the live ones.  Keys
+   come from a small set with both zeros, so ties are common; after the
+   inserts, the root's key moves up, down or stays, or the root is
+   popped, and after every step the heap's root must be the scan's
+   pick. *)
+type heap_op = Set_top of float | Pop
+
+let prop_clock_heap_matches_scan =
+  let key = QCheck2.Gen.oneofl [ 0.0; -0.0; 1.0; 2.0; 3.0; 7.5 ] in
+  QCheck2.Test.make ~name:"min-clock heap picks what the scan picks"
+    ~count:500
+    ~print:(fun (inserts, ops) ->
+      let f = Printf.sprintf "%h" in
+      Printf.sprintf "inserts=[%s] ops=[%s]"
+        (String.concat "; "
+           (List.map (fun (i, k) -> Printf.sprintf "%d:%s" i (f k)) inserts))
+        (String.concat "; "
+           (List.map
+              (function Set_top k -> "set " ^ f k | Pop -> "pop")
+              ops)))
+    QCheck2.Gen.(
+      int_range 1 12 >>= fun n ->
+      shuffle_l (List.init n Fun.id) >>= fun order ->
+      list_repeat n key >>= fun keys ->
+      list_size (int_range 0 80)
+        (frequency [ (5, map (fun k -> Set_top k) key); (1, pure Pop) ])
+      >|= fun ops -> (List.combine order keys, ops))
+    (fun (inserts, ops) ->
+      let n = List.length inserts in
+      let h = Nvmgc.Clock_heap.create n in
+      let keys = Array.make n nan and live = Array.make n false in
+      let scan () =
+        let best = ref (-1) in
+        for i = 0 to n - 1 do
+          if live.(i) && (!best < 0 || keys.(i) < keys.(!best)) then best := i
+        done;
+        !best
+      in
+      let agrees () =
+        match scan () with
+        | -1 -> Nvmgc.Clock_heap.is_empty h
+        | i -> (not (Nvmgc.Clock_heap.is_empty h)) && Nvmgc.Clock_heap.top h = i
+      in
+      Nvmgc.Clock_heap.clear h;
+      List.iter
+        (fun (i, k) ->
+          keys.(i) <- k;
+          live.(i) <- true;
+          Nvmgc.Clock_heap.add h i k)
+        inserts;
+      agrees ()
+      && List.for_all
+           (fun op ->
+             if Nvmgc.Clock_heap.is_empty h then true
+             else begin
+               let i = Nvmgc.Clock_heap.top h in
+               (match op with
+               | Set_top k ->
+                   keys.(i) <- k;
+                   Nvmgc.Clock_heap.set_top_key h k
+               | Pop ->
+                   live.(i) <- false;
+                   Nvmgc.Clock_heap.pop h);
+               agrees ()
+             end)
+           ops)
+
 let prop_collection_invariants =
   QCheck2.Test.make ~name:"collection preserves heap integrity" ~count:25
     gen_scenario
@@ -761,6 +829,7 @@ let () =
           qc prop_soa_matches_reference_model;
           qc prop_collection_invariants;
           qc prop_optimizations_never_lose_objects;
+          qc prop_clock_heap_matches_scan;
         ] );
       ( "validation",
         Alcotest.test_case "edge values stay valid" `Quick

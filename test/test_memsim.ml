@@ -84,6 +84,49 @@ let test_transfer_ns () =
   check_float "1GB/s = 1 byte per ns" 64.0
     (Memsim.Bandwidth.transfer_ns ~bytes:64 ~gbps:1.0)
 
+(* The tie-exact helpers are [Float.min] / [Float.max] bit for bit.
+   Operands come from both zeros, NaNs of both signs and two payloads,
+   the infinities, subnormals, a few repeated values (so ties are
+   common) and arbitrary floats. *)
+let prop_tie_exact_min_max =
+  let bits = Int64.bits_of_float in
+  let operand =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 4,
+            oneofl
+              [
+                0.0;
+                -0.0;
+                Float.nan;
+                -.Float.nan;
+                Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+                Int64.float_of_bits 0xFFF4_0000_0000_0000L;
+                Float.infinity;
+                Float.neg_infinity;
+                1.0;
+                -1.0;
+              ] );
+          ( 2,
+            map2
+              (fun m neg ->
+                let x = Int64.float_of_bits (Int64.of_int m) in
+                if neg then -.x else x)
+              (int_range 1 ((1 lsl 52) - 1))
+              bool );
+          (3, float);
+        ])
+  in
+  QCheck2.Test.make ~name:"tie-exact min and max equal the stdlib" ~count:2000
+    ~print:(fun (x, y) -> Printf.sprintf "x=%h y=%h" x y)
+    QCheck2.Gen.(pair operand operand)
+    (fun (x, y) ->
+      bits (Memsim.Bandwidth.fmin x y) = bits (Float.min x y)
+      && bits (Memsim.Bandwidth.fmax x y) = bits (Float.max x y)
+      && bits (Memsim.Bandwidth.fmin x x) = bits (Float.min x x)
+      && bits (Memsim.Bandwidth.fmax x x) = bits (Float.max x x))
+
 (* ------------------------------------------------------------------ *)
 (* LLC                                                                 *)
 
@@ -778,6 +821,39 @@ let gen_mem_op ~span =
           (int_range 1 16) );
     ]
 
+(* Run one op at the clock [now] with [r] installed as the recorder;
+   returns the undurable lines a query reported ([] for every other
+   op). *)
+let step_mem_op m r now op =
+  Nvmtrace.Hooks.set_recorder r;
+  match op with
+  | M_access { dt; line; off; lines; space; kind; pattern; force } ->
+      now := !now +. float_of_int dt;
+      Memsim.Memory.access_run_into ~force_device:force m ~now_ns:!now
+        ~addr:((line * 64) + off) ~space ~kind ~pattern
+        ~bytes:((lines * 64) - off);
+      []
+  | M_prefetch { dt; line; space } ->
+      now := !now +. float_of_int dt;
+      ignore
+        (Memsim.Memory.prefetch m ~now_ns:!now ~addr:(line * 64) space : float);
+      []
+  | M_background { dt; len; space; read; write } ->
+      now := !now +. float_of_int dt;
+      Memsim.Memory.record_background m ~from_ns:!now
+        ~until_ns:(!now +. float_of_int len) ~space ~read_bytes:read
+        ~write_bytes:write;
+      []
+  | M_cause c ->
+      let causes = Nvmtrace.Recorder.all_causes in
+      Memsim.Memory.set_cause m (List.nth causes (c mod List.length causes));
+      []
+  | M_arm ->
+      Memsim.Memory.set_durability_tracking m true;
+      []
+  | M_undurable { line; lines } ->
+      Memsim.Memory.nvm_undurable_in m ~base:(line * 64) ~bytes:(lines * 64)
+
 let prop_reset_is_fresh =
   QCheck2.Test.make ~name:"a reset memory is a fresh memory" ~count:200
     ~print:(fun (ways, nsets, recorder, (prefixes, suffix)) ->
@@ -808,39 +884,7 @@ let prop_reset_is_fresh =
       let recorder () =
         if with_recorder then Some (Nvmtrace.Recorder.create ()) else None
       in
-      (* Run one op at the clock [now]; returns the undurable lines a
-         query reported ([] for every other op). *)
-      let step m r now op =
-        Nvmtrace.Hooks.set_recorder r;
-        match op with
-        | M_access { dt; line; off; lines; space; kind; pattern; force } ->
-            now := !now +. float_of_int dt;
-            Memsim.Memory.access_run_into ~force_device:force m ~now_ns:!now
-              ~addr:((line * 64) + off) ~space ~kind ~pattern
-              ~bytes:((lines * 64) - off);
-            []
-        | M_prefetch { dt; line; space } ->
-            now := !now +. float_of_int dt;
-            ignore
-              (Memsim.Memory.prefetch m ~now_ns:!now ~addr:(line * 64) space
-                : float);
-            []
-        | M_background { dt; len; space; read; write } ->
-            now := !now +. float_of_int dt;
-            Memsim.Memory.record_background m ~from_ns:!now
-              ~until_ns:(!now +. float_of_int len) ~space ~read_bytes:read
-              ~write_bytes:write;
-            []
-        | M_cause c ->
-            Memsim.Memory.set_cause m (List.nth causes (c mod List.length causes));
-            []
-        | M_arm ->
-            Memsim.Memory.set_durability_tracking m true;
-            []
-        | M_undurable { line; lines } ->
-            Memsim.Memory.nvm_undurable_in m ~base:(line * 64)
-              ~bytes:(lines * 64)
-      in
+      let step = step_mem_op in
       let bits = Int64.bits_of_float in
       let series ts =
         List.init (Simstats.Timeseries.length ts) (fun i ->
@@ -907,6 +951,157 @@ let prop_reset_is_fresh =
                  ua = ub && observe a r_a = observe b r_b)
                suffix))
 
+(* Three simulated threads take turns issuing [ops] against one memory,
+   each on its own clock ([step_mem_op] advances it by the op's [dt], and
+   an access also by its duration), so arrivals land behind the device
+   pipes' last instant as they do between GC threads.  [f] sees every
+   access's duration; the run returns the threads' clocks. *)
+let run_threaded m r ops f =
+  let clocks = Array.init 3 (fun _ -> ref 0.0) in
+  List.iteri
+    (fun i op ->
+      let now = clocks.(i mod 3) in
+      let undurable = step_mem_op m r now op in
+      (match op with
+      | M_access _ ->
+          let d = Memsim.Memory.last_duration m in
+          f op ~now:!now ~undurable d;
+          now := !now +. d
+      | _ -> f op ~now:!now ~undurable nan))
+    ops
+
+(* The memory model's float state, pinned by digest: a fixed-seed stream
+   of [gen_mem_op] ops on a 2-way, 4-set LLC with the trace and the
+   recorder on.  After every op the digest takes each duration's bits,
+   both spaces' pipe stats and per-class service, the byte totals and
+   the undurable lines; at the end, every trace and recorder bucket and
+   total and the LLC counters.  Unlike "a reset memory is a fresh
+   memory", which compares two memories running the same code, this
+   fails when a change to the model reorders or repeats a float
+   operation — a drain charging two same-space write-backs in swapped
+   order, or decaying a mix twice.  The run must exercise what such a
+   change would touch: write-back buffers holding both spaces' lines,
+   write-backs drained at a clock behind an earlier charge, and forced
+   device charges. *)
+let float_state_digest = "4c19d5ec1dafa0da746461cafb0c88f5"
+
+let test_memory_float_state_pinned () =
+  let ways = 2 and nsets = 4 in
+  let config =
+    {
+      Memsim.Memory.default_config with
+      llc_capacity_bytes = nsets * ways * 64;
+      llc_ways = ways;
+      trace_enabled = true;
+      trace_bucket_ns = 500.0;
+    }
+  in
+  let ops =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 30 |]) ~n:3000
+      (gen_mem_op ~span:(4 * ways * nsets))
+  in
+  let m = Memsim.Memory.create config in
+  let r = Nvmtrace.Recorder.create ~window_ns:2000.0 () in
+  let buf = Buffer.create 65536 in
+  let add_float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let add_series ts =
+    Buffer.add_int32_le buf (Int32.of_int (Simstats.Timeseries.length ts));
+    for i = 0 to Simstats.Timeseries.length ts - 1 do
+      add_float (Simstats.Timeseries.get ts i)
+    done
+  in
+  let llc = Memsim.Memory.llc m in
+  let mixed = ref 0 and skewed = ref 0 and forced = ref 0 in
+  let latest = ref 0.0 in
+  Fun.protect
+    ~finally:(fun () -> Nvmtrace.Hooks.set_recorder None)
+    (fun () ->
+      run_threaded m (Some r) ops (fun op ~now ~undurable d ->
+          (match op with
+          | M_access { kind; force; _ } ->
+              let n = Memsim.Llc.run_wb_count llc in
+              let nvm = ref 0 in
+              for i = 0 to n - 1 do
+                if Memsim.Llc.run_wb_nvm llc i then incr nvm
+              done;
+              if !nvm > 0 && !nvm < n then incr mixed;
+              if n > 0 && now < !latest then incr skewed;
+              if force && kind <> A.Nt_write then incr forced;
+              latest := Float.max !latest now
+          | _ -> ());
+          add_float d;
+          List.iter
+            (fun space ->
+              let service, wait = Memsim.Memory.pipe_stats m space in
+              add_float service;
+              add_float wait;
+              Array.iter add_float (Memsim.Memory.service_by_class m space))
+            [ A.Dram; A.Nvm ];
+          let snap = Memsim.Memory.snapshot m in
+          add_float snap.Memsim.Memory.dram_read_bytes;
+          add_float snap.Memsim.Memory.dram_write_bytes;
+          add_float snap.Memsim.Memory.nvm_read_bytes;
+          add_float snap.Memsim.Memory.nvm_write_bytes;
+          List.iter (fun a -> Buffer.add_int32_le buf (Int32.of_int a)) undurable));
+  List.iter
+    (fun space ->
+      add_series (Memsim.Memory.read_trace m space);
+      add_series (Memsim.Memory.write_trace m space))
+    [ A.Dram; A.Nvm ];
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (nvm, write) ->
+          add_float (Nvmtrace.Recorder.total r ~nvm ~write c);
+          add_series (Nvmtrace.Recorder.series r ~nvm ~write c))
+        [ (false, false); (false, true); (true, false); (true, true) ])
+    Nvmtrace.Recorder.all_causes;
+  List.iter
+    (fun n -> Buffer.add_int32_le buf (Int32.of_int n))
+    [
+      Memsim.Llc.hits llc;
+      Memsim.Llc.misses llc;
+      Memsim.Llc.prefetch_hits llc;
+      Memsim.Llc.prefetch_issued llc;
+      Memsim.Llc.writebacks llc;
+    ];
+  let coverage what n =
+    check_bool (Printf.sprintf "%s (%d)" what n) true (n >= 20)
+  in
+  coverage "write-back buffers mixing both spaces" !mixed;
+  coverage "write-backs drained behind a later clock" !skewed;
+  coverage "forced device charges" !forced;
+  Alcotest.(check string)
+    "float state digest" float_state_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Every access duration is finite and non-negative: the min-clock
+   scheduler's heap orders threads by clock, and a NaN clock would make
+   it disagree with the linear scan it replaced. *)
+let prop_durations_finite =
+  QCheck2.Test.make ~name:"durations are finite and non-negative" ~count:200
+    ~print:(fun (ways, ops) ->
+      Printf.sprintf "ways=%d [%s]" ways
+        (String.concat "; " (List.map show_mem_op ops)))
+    QCheck2.Gen.(
+      pair (int_range 1 8)
+        (list_size (int_range 0 120) (gen_mem_op ~span:64)))
+    (fun (ways, ops) ->
+      let m =
+        Memsim.Memory.create
+          {
+            Memsim.Memory.default_config with
+            llc_capacity_bytes = 4 * ways * 64;
+            llc_ways = ways;
+          }
+      in
+      let ok = ref true in
+      run_threaded m None ops (fun op ~now:_ ~undurable:_ d ->
+          match op with
+          | M_access _ -> if not (Float.is_finite d && d >= 0.0) then ok := false
+          | _ -> ());
+      !ok)
+
 (* Reusing a memory is only worth it if resetting costs next to nothing:
    after a 40-object fuzz run, [reset] must stay allocation-free (a few
    words of slack for the measurement itself). *)
@@ -967,6 +1162,7 @@ let () =
           Alcotest.test_case "effective bounds" `Quick test_effective_gbps_bounds;
           Alcotest.test_case "total cap harmonic" `Quick test_total_cap_harmonic;
           Alcotest.test_case "transfer ns" `Quick test_transfer_ns;
+          QCheck_alcotest.to_alcotest prop_tie_exact_min_max;
         ] );
       ( "llc",
         [
@@ -1005,6 +1201,9 @@ let () =
           Alcotest.test_case "reset allocation" `Quick
             test_memory_reset_allocation;
           qc prop_reset_is_fresh;
+          Alcotest.test_case "float state pinned" `Quick
+            test_memory_float_state_pinned;
+          qc prop_durations_finite;
           qc prop_access_duration_monotone_in_size;
           qc prop_batched_mix_equals_fold;
           qc prop_recorder_cause_totals_exact;
