@@ -286,8 +286,10 @@ test -s "$tmp/profile.jsonl"
 # its ceiling (one extra memory access per pause is enough); when a
 # change lowers a count, lower its ceiling to the new reading.  The
 # sweep-arrays run covers the long multi-line access runs and their
-# write-back drain, which sweep-fig5 barely reaches.  Readings on the
-# tree that last moved a count.
+# write-back drain, which sweep-fig5 barely reaches; verified-fig5 adds
+# the verifier's and recorder's allocation, and fuzz-campaign the tiny
+# pooled heaps, the crash model and the campaign driver.  Readings on
+# the tree that last moved a count.
 work_ratchet() {
   workload=$1
   shift
@@ -306,14 +308,22 @@ work_ratchet() {
     fi
   done
 }
-dune exec --profile release bench/ledger/ledger.exe -- \
-  --workload sweep-arrays --trace 1 > "$tmp/profile.sweep-arrays.out"
+for workload in sweep-arrays verified-fig5 fuzz-campaign; do
+  dune exec --profile release bench/ledger/ledger.exe -- \
+    --workload "$workload" --trace 1 > "$tmp/profile.$workload.out"
+done
 work_ratchet sweep-fig5 memsim.access_calls:1724040 \
   memsim.llc_run_calls:1529916 memsim.llc_line_accesses:2629847 \
-  memsim.llc_writebacks:1023406 ocaml.minor_words_per_object:58.4839
+  memsim.llc_writebacks:1023406 ocaml.minor_words_per_object:40.5276
 work_ratchet sweep-arrays memsim.access_calls:2081765 \
   memsim.llc_run_calls:1830399 memsim.llc_line_accesses:8001545 \
-  memsim.llc_writebacks:3724881 ocaml.minor_words_per_object:63.5005
+  memsim.llc_writebacks:3724881 ocaml.minor_words_per_object:47.3189
+work_ratchet verified-fig5 memsim.access_calls:1724040 \
+  memsim.llc_run_calls:1529916 memsim.llc_line_accesses:2629847 \
+  memsim.llc_writebacks:1023406 ocaml.minor_words_per_object:63.5750
+work_ratchet fuzz-campaign memsim.access_calls:1197028 \
+  memsim.llc_run_calls:1114966 memsim.llc_line_accesses:0 \
+  memsim.llc_writebacks:0 ocaml.minor_words_per_object:167.7364
 
 # Parallel non-degradation gate: bench_parallel times the same sweep at
 # --jobs 1/2/4/8 inside one process and emits BENCH_parallel.json.  The

@@ -145,6 +145,7 @@ type thread = {
    buffers are allocated once, not once per pause. *)
 type t = {
   mutable heap : Simheap.Heap.t;
+  mutable store : O.store;  (** [heap]'s object store *)
   mutable memory : Memsim.Memory.t;
   mutable config : Gc_config.t;
   mutable schedule : Schedule.t option;
@@ -159,7 +160,7 @@ type t = {
           use; every entry shares the same records, so a rebind to
           another thread count allocates nothing after the first time *)
   pool : Work_stack.pool;
-      (** pause-local slot registry backing the packed work items *)
+      (** pause-local root registry backing the packed root slots *)
   mutable mark_stolen : int -> unit;
       (** flag a cache region (by scratch index) stolen-from; built once
           so the steal path allocates no closure *)
@@ -193,7 +194,7 @@ type t = {
       (** this pause's {!Flush_tracker.decision}s other than [Keep]: one
           count per engine rather than per thread record, which would
           cost every collector three words per thread *)
-  old_addrs : int Simstats.Vec.t;
+  old_addrs : Simstats.Ivec.t;
       (** pre-copy addresses of evacuated objects; their address-table
           bindings must survive the pause (forwarding lookups) and be
           dropped afterwards *)
@@ -258,6 +259,7 @@ let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map () =
   let t =
     {
       heap;
+      store = Simheap.Heap.store heap;
       memory;
       config;
       schedule;
@@ -277,7 +279,7 @@ let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map () =
       tracker_ready = 0;
       tracker_rearmed = 0;
       tracker_lost = 0;
-      old_addrs = Simstats.Vec.create 0;
+      old_addrs = Simstats.Ivec.create ();
       busy = 0;
       start_ns = 0.0;
       cleared = false;
@@ -346,7 +348,7 @@ let clear_pause_state t ~start_ns =
   t.tracker_ready <- 0;
   t.tracker_rearmed <- 0;
   t.tracker_lost <- 0;
-  Simstats.Vec.clear_to t.old_addrs ~capacity:Work_stack.kept_capacity;
+  Simstats.Ivec.clear_to t.old_addrs ~capacity:Work_stack.kept_capacity;
   t.busy <- 0;
   t.start_ns <- start_ns;
   t.crash_points <- 0;
@@ -380,6 +382,7 @@ let set_threads t n =
 let rebind t ~schedule ~heap ~memory ~config ~header_map =
   t.schedule <- schedule;
   t.heap <- heap;
+  t.store <- Simheap.Heap.store heap;
   t.memory <- memory;
   t.config <- config;
   t.header_map <- header_map;
@@ -506,9 +509,9 @@ let[@inline] add_breakdown th cat ns =
 let[@inline] slot_space t slot =
   if Work_stack.slot_is_root slot then Memsim.Access.Dram
   else begin
-    let holder = Work_stack.slot_holder t.pool slot in
-    if holder.O.cached then Memsim.Access.Dram
-    else (Simheap.Heap.region_of_addr t.heap holder.O.addr).R.space
+    let holder = O.slot_holder slot in
+    if O.cached t.store holder then Memsim.Access.Dram
+    else (Simheap.Heap.region_of_addr t.heap (O.addr t.store holder)).R.space
   end
 
 (* ------------------------------------------------------------------ *)
@@ -737,7 +740,7 @@ let alloc_destination t th size =
    stores null values) so the per-item hot path allocates no option.
    Charges header-map probe reads; the NVM header itself was read as part
    of locating the referent. *)
-let lookup_forward t th ~old_addr (obj : O.t) =
+let lookup_forward t th ~old_addr obj =
   match t.header_map with
   | Some map ->
       let fwd = Header_map.get_addr map ~key:old_addr in
@@ -754,24 +757,24 @@ let lookup_forward t th ~old_addr (obj : O.t) =
       else
         (* Not in the map: the header on NVM is authoritative (it may
            hold a fallback install). *)
-        obj.O.forward
-  | None -> obj.O.forward
+        O.forward t.store obj
+  | None -> O.forward t.store obj
 
 (* The header is written twice on the old copy: the CAS claiming the
    object and the final forwarding value (paper §3.1).  Both are atomic
    and reach the device uncoalesced.  (Top-level rather than local to
    [install_forward] so the per-object hot path allocates no closure.) *)
-let install_in_header t th ~old_addr ~old_space ~new_addr (obj : O.t) =
+let install_in_header t th ~old_addr ~old_space ~new_addr obj =
   charge_forced t th ~cat:Cat_forward ~addr:old_addr ~space:old_space
     ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Random
     ~bytes:Simheap.Layout.ref_bytes;
   charge t th ~cat:Cat_forward ~addr:old_addr ~space:old_space
     ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Random
     ~bytes:Simheap.Layout.ref_bytes;
-  obj.O.forward <- new_addr
+  O.set_forward t.store obj new_addr
 
 (* Install the forwarding pointer for a just-copied object. *)
-let install_forward t th ~old_addr ~new_addr ~old_space (obj : O.t) =
+let install_forward t th ~old_addr ~new_addr ~old_space obj =
   match t.header_map with
   | Some _ when force_hm_fallback t th ->
       (* Schedule seam: behave exactly as a [Full] probe without touching
@@ -825,39 +828,39 @@ let[@inline] push_item t th ~slot ~home =
 
 (* Copy one object and push its reference fields.  Returns the packed
    slot id of the first pushed field (negative if none); its home index
-   is latched in [t.last_copy_home] and the new address in [obj.O.addr] —
+   is latched in [t.last_copy_home] and the new address in the store —
    out-of-band so the per-object hot path returns an immediate int
    instead of allocating a tuple. *)
-let copy_object t th ~old_addr ~old_space (obj : O.t) =
-  alloc_destination t th obj.O.size;
+let copy_object t th ~old_addr ~old_space obj =
+  let st = t.store in
+  let size = O.size st obj in
+  alloc_destination t th size;
   (* Read the object body from the collection set, write it to the
      destination (step 2: sequential read + write). *)
   charge t th ~cat:Cat_copy_read ~addr:old_addr ~space:old_space
-    ~kind:Memsim.Access.Read ~pattern:Memsim.Access.Sequential
-    ~bytes:obj.O.size;
+    ~kind:Memsim.Access.Read ~pattern:Memsim.Access.Sequential ~bytes:size;
   charge t th ~cat:Cat_copy_write ~addr:th.dest_phys ~space:th.dest_space
-    ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Sequential
-    ~bytes:obj.O.size;
+    ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Sequential ~bytes:size;
   install_forward t th ~old_addr ~new_addr:th.dest_addr ~old_space obj;
   (* Re-home the object. *)
-  Simstats.Vec.push t.old_addrs old_addr;
-  obj.O.addr <- th.dest_addr;
-  obj.O.phys <- th.dest_phys;
-  obj.O.cached <- (match th.dest_pair with Some _ -> true | None -> false);
-  obj.O.age <- obj.O.age + 1;
+  Simstats.Ivec.push t.old_addrs old_addr;
+  O.set_addr st obj th.dest_addr;
+  O.set_phys st obj th.dest_phys;
+  O.set_cached st obj (match th.dest_pair with Some _ -> true | None -> false);
+  O.set_age st obj (O.age st obj + 1);
   Simheap.Heap.bind t.heap th.dest_addr obj;
-  Simstats.Vec.push th.dest_region.R.objs obj;
+  Simstats.Ivec.push th.dest_region.R.objs obj;
   (match th.dest_pair with
-  | Some pair -> Simstats.Vec.push pair.Write_cache.cache.R.objs obj
+  | Some pair -> Simstats.Ivec.push pair.Write_cache.cache.R.objs obj
   | None -> ());
   th.objects_copied <- th.objects_copied + 1;
-  th.bytes_copied <- th.bytes_copied + obj.O.size;
+  th.bytes_copied <- th.bytes_copied + size;
   (match th.dest_pair with
-  | Some _ -> th.bytes_cached <- th.bytes_cached + obj.O.size
+  | Some _ -> th.bytes_cached <- th.bytes_cached + size
   | None -> ());
   (* Step 4 second half: scan the copied object's reference fields and
      push them (sequential read of the fresh copy — cache-hot). *)
-  let nfields = O.nfields obj in
+  let nfields = O.nfields st obj in
   t.scratch_first_slot <- Work_stack.no_slot;
   let home =
     match th.dest_pair with
@@ -865,15 +868,14 @@ let copy_object t th ~old_addr ~old_space (obj : O.t) =
     | None -> Work_stack.no_home
   in
   if nfields > 0 then begin
-    charge t th ~cat:Cat_scan ~addr:(O.field_phys_addr obj 0)
+    charge t th ~cat:Cat_scan ~addr:(O.field_phys_addr st obj 0)
       ~space:th.dest_space ~kind:Memsim.Access.Read
       ~pattern:Memsim.Access.Sequential
       ~bytes:(nfields * Simheap.Layout.ref_bytes);
-    let hidx = Work_stack.register_holder t.pool obj in
     for i = 0 to nfields - 1 do
-      let target = obj.O.fields.(i) in
+      let target = O.field st obj i in
       if target <> Simheap.Layout.null then begin
-        let slot = Work_stack.field_slot ~holder:hidx ~field:i in
+        let slot = O.field_slot obj i in
         if t.scratch_first_slot < 0 then t.scratch_first_slot <- slot;
         push_item t th ~slot ~home;
         if t.config.Gc_config.prefetch then begin
@@ -913,7 +915,7 @@ let copy_object t th ~old_addr ~old_space (obj : O.t) =
    closure.) *)
 let update_slot t th slot ~ref_addr new_addr =
   if new_addr <> ref_addr then begin
-    let addr = Work_stack.slot_addr t.pool slot in
+    let addr = Work_stack.slot_addr t.pool t.store slot in
     charge t th ~cat:Cat_ref_update ~addr ~space:(slot_space t slot)
       ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Random
       ~bytes:Simheap.Layout.ref_bytes;
@@ -932,7 +934,7 @@ let update_slot t th slot ~ref_addr new_addr =
           t.post_flush_writes <- (region.R.idx, addr) :: t.post_flush_writes
       end
     end;
-    Work_stack.slot_write t.pool slot new_addr
+    Work_stack.slot_write t.pool t.store slot new_addr
   end
 
 (* The flush tracker judged [pair] not ready after an item homed in it. *)
@@ -959,7 +961,7 @@ let not_ready t th pair =
 let process_item t th ~slot ~home =
   charge_cpu th ref_cpu_ns;
   th.refs_processed <- th.refs_processed + 1;
-  let ref_addr = Work_stack.slot_referent t.pool slot in
+  let ref_addr = Work_stack.slot_referent t.pool t.store slot in
   (* The home pair must be resolved before processing: copying the
      referent can retire this very pair (flush completion) or grab a new
      one, and the flush tracker must see the pair that held the slot when
@@ -994,7 +996,7 @@ let process_item t th ~slot ~home =
           let first_slot =
             copy_object t th ~old_addr:ref_addr ~old_space:region.R.space obj
           in
-          update_slot t th slot ~ref_addr obj.O.addr;
+          update_slot t th slot ~ref_addr (O.addr t.store obj);
           first_slot
         end
       end
@@ -1113,11 +1115,14 @@ let try_steal t thief =
 let all_stacks_empty t =
   Array.for_all (fun th -> Work_stack.is_empty th.stack) t.threads
 
-(** Seed an initial work item onto a thread's stack (before [run]). *)
-let seed t ~tid slot =
-  push_item t
-    t.threads.(tid)
-    ~slot:(Work_stack.register_slot t.pool slot)
+(** Seed an initial work item onto a thread's stack (before [run]): a
+    remembered-set field slot, or a root. *)
+let seed_field t ~tid slot =
+  push_item t t.threads.(tid) ~slot ~home:Work_stack.no_home
+
+let seed_root t ~tid root =
+  push_item t t.threads.(tid)
+    ~slot:(Work_stack.root_slot t.pool root)
     ~home:Work_stack.no_home
 
 (** Charge a thread for scanning its share of remembered sets ([bytes] of

@@ -141,13 +141,17 @@ val tracker_decisions : t -> int * int * int
 val lane : thread -> int
 (** The thread's telemetry lane, [tid + 1]; lane 0 carries the pause. *)
 
-val old_addrs : t -> int Simstats.Vec.t
+val old_addrs : t -> Simstats.Ivec.t
 (** Pre-copy addresses of evacuated objects, for post-pause unbinding. *)
 
 val add_breakdown : thread -> category -> float -> unit
 
-val seed : t -> tid:int -> Simheap.Objmodel.slot -> unit
-(** Place an initial work item on a thread's stack (before {!run}). *)
+val seed_field : t -> tid:int -> int -> unit
+(** Place a remembered-set field slot ({!Simheap.Objmodel.field_slot}) on
+    a thread's stack as an initial work item (before {!run}). *)
+
+val seed_root : t -> tid:int -> Simheap.Objmodel.root -> unit
+(** Place a root on a thread's stack as an initial work item. *)
 
 val charge_remset_scan : t -> tid:int -> bytes:int -> unit
 (** Charge a thread for scanning its share of remembered-set metadata. *)

@@ -7,18 +7,28 @@
     order the asynchronous-flush tracker relies on, so stolen items' home
     regions are marked [stolen_from] (paper §4.2).
 
-    Items are structure-of-arrays: parallel int vectors for a packed slot
+    Items are structure-of-arrays: parallel int arrays for a packed slot
     id and a home cache-region index (-1 = none), so the push/pop/steal
     hot paths allocate nothing.  A slot id is either
 
-    - a field slot: [(holder_idx << (field_bits + 1)) | (field << 1)],
-      where [holder_idx] indexes the pause-local holder registry; or
-    - a root slot: [(root_idx << 1) | 1].
+    - a field slot, {!Simheap.Objmodel.field_slot}:
+      [(holder << (field_bits + 1)) | (field << 1)], where [holder] is the
+      holder object's store handle; or
+    - a root slot: [(root_idx << 1) | 1], where [root_idx] indexes the
+      pause-local root registry.
 
-    Each pushed id is minted exactly once per pause (objects are copied
-    once, and the seeding path registers every remembered-set slot
-    separately), so integer equality on ids is equivalent to the physical
-    equality the record representation gave the flush tracker. *)
+    The flush tracker matches its memorized "last" reference by integer
+    equality on ids, which is sound because no slot is pushed twice in
+    one pause.  A field slot's id is a pure function of (holder handle,
+    field), so equal ids mean the same field, and each field is pushed at
+    most once per pause: a copied object's fields are pushed by its one
+    copy (an object is copied once per pause, and a holder is never freed
+    mid-pause, so its handle is not reused), and remembered-set slots are
+    seeded once each — both heap builders ([Workloads.Graph_gen],
+    [Simcheck.Spec]) take every remembered-set slot from a fresh (holder,
+    field) cursor, and a remembered-set holder lies in an old region,
+    outside the collection set, so it is never copied in the pause that
+    seeds it.  Root ids are minted once per seeded root. *)
 
 module O = Simheap.Objmodel
 
@@ -26,24 +36,13 @@ let no_home = -1
 let no_slot = -1
 
 (* ------------------------------------------------------------------ *)
-(* Slot pool                                                           *)
+(* Root registry                                                       *)
 
-let field_bits = 24
-let max_fields = 1 lsl field_bits
-let field_mask = max_fields - 1
-
-type pool = {
-  holders : O.t Simstats.Vec.t;
-  proots : O.root Simstats.Vec.t;
-}
+type pool = { proots : O.root Simstats.Vec.t }
 
 let dummy_root : O.root = { O.root_id = -1; target = 0 }
 
-let create_pool () =
-  {
-    holders = Simstats.Vec.create Simheap.Region.dummy_obj;
-    proots = Simstats.Vec.create dummy_root;
-  }
+let create_pool () = { proots = Simstats.Vec.create dummy_root }
 
 (* A collector keeps its pool and stacks across pauses.  Buffers up to
    this many slots are kept (a fuzz pause never outgrows them); a larger
@@ -52,51 +51,26 @@ let create_pool () =
 let kept_capacity = 1024
 
 (* Forget every registration. *)
-let clear_pool pool =
-  Simstats.Vec.clear_to pool.holders ~capacity:kept_capacity;
-  Simstats.Vec.clear_to pool.proots ~capacity:kept_capacity
+let clear_pool pool = Simstats.Vec.clear_to pool.proots ~capacity:kept_capacity
 
-let register_holder pool obj =
-  Simstats.Vec.push pool.holders obj;
-  Simstats.Vec.length pool.holders - 1
-
-let field_slot ~holder ~field = (holder lsl (field_bits + 1)) lor (field lsl 1)
-
-let register_slot pool (slot : O.slot) =
-  match slot with
-  | O.Field (holder, i) ->
-      assert (i < max_fields);
-      field_slot ~holder:(register_holder pool holder) ~field:i
-  | O.Root r ->
-      Simstats.Vec.push pool.proots r;
-      ((Simstats.Vec.length pool.proots - 1) lsl 1) lor 1
+let root_slot pool (r : O.root) =
+  Simstats.Vec.push pool.proots r;
+  ((Simstats.Vec.length pool.proots - 1) lsl 1) lor 1
 
 let slot_is_root id = id land 1 = 1
 
-let slot_referent pool id =
-  if id land 1 = 1 then
-    (Simstats.Vec.unsafe_get pool.proots (id lsr 1)).O.target
-  else
-    (Simstats.Vec.unsafe_get pool.holders (id lsr (field_bits + 1))).O.fields.(
-      (id lsr 1) land field_mask)
+let slot_referent pool st id =
+  if id land 1 = 1 then (Simstats.Vec.unsafe_get pool.proots (id lsr 1)).O.target
+  else O.slot_referent st id
 
-let slot_write pool id v =
+let slot_write pool st id v =
   if id land 1 = 1 then
     (Simstats.Vec.unsafe_get pool.proots (id lsr 1)).O.target <- v
-  else
-    (Simstats.Vec.unsafe_get pool.holders (id lsr (field_bits + 1))).O.fields.(
-      (id lsr 1) land field_mask) <- v
+  else O.slot_write st id v
 
-let slot_addr pool id =
-  if id land 1 = 1 then
-    O.root_addr (Simstats.Vec.unsafe_get pool.proots (id lsr 1))
-  else
-    O.field_phys_addr
-      (Simstats.Vec.unsafe_get pool.holders (id lsr (field_bits + 1)))
-      ((id lsr 1) land field_mask)
-
-let slot_holder pool id =
-  Simstats.Vec.unsafe_get pool.holders (id lsr (field_bits + 1))
+let slot_addr pool st id =
+  if id land 1 = 1 then O.root_addr (Simstats.Vec.unsafe_get pool.proots (id lsr 1))
+  else O.slot_addr st id
 
 (* ------------------------------------------------------------------ *)
 (* Stacks                                                              *)

@@ -4,12 +4,13 @@
     breaks the LIFO order the asynchronous-flush tracker relies on — so
     stolen items' home regions are marked [stolen_from].
 
-    Work items are stored structure-of-arrays: two parallel int vectors
+    Work items are stored structure-of-arrays: two parallel int arrays
     carry a packed {e slot id} and a {e home region index} per item, so
-    push/pop/steal never allocate.  Slot ids index a pause-local
-    {!pool} that registers each holder object (or root) once; every id
-    pushed during a pause is distinct, so the flush tracker can match
-    its memorized "last" reference by plain integer equality. *)
+    push/pop/steal never allocate.  A field slot's id is
+    {!Simheap.Objmodel.field_slot} of (holder handle, field); a root
+    slot's id indexes a pause-local root registry.  No slot is pushed
+    twice in one pause, so the flush tracker can match its memorized
+    "last" reference by plain integer equality. *)
 
 val no_home : int
 (** Home sentinel (-1): the item's holder lives in no cache region
@@ -18,12 +19,11 @@ val no_home : int
 val no_slot : int
 (** Slot-id sentinel (-1): "no reference" (e.g. an unarmed tracker). *)
 
-(** {2 Slot pool}
+(** {2 Root registry}
 
-    Pause-local registry resolving packed slot ids back to object
-    fields and roots.  Field slots encode [(holder_idx, field)] in one
-    int; root slots encode a root registry index.  All decode paths are
-    allocation-free. *)
+    Pause-local registry resolving root slot ids back to roots.  Field
+    slots need no registry: their id names the holder's store handle.
+    All decode paths are allocation-free. *)
 
 type pool
 
@@ -34,33 +34,19 @@ val kept_capacity : int
     {!reset}; larger ones are dropped for fresh small ones. *)
 
 val clear_pool : pool -> unit
-(** Forget every registered holder and root (a new pause's pool). *)
+(** Forget every registered root (a new pause's pool). *)
 
-val register_holder : pool -> Simheap.Objmodel.t -> int
-(** Register a holder object whose fields are about to be pushed;
-    returns the holder index to feed {!field_slot}. *)
-
-val field_slot : holder:int -> field:int -> int
-(** Packed slot id for field [field] of registered holder [holder].
-    [field] must be below {!max_fields}. *)
-
-val max_fields : int
-(** Upper bound (exclusive) on encodable field indices — far above any
-    region-bounded object's field count. *)
-
-val register_slot : pool -> Simheap.Objmodel.slot -> int
-(** Packed id for an arbitrary slot (seeding path; not hot). *)
+val root_slot : pool -> Simheap.Objmodel.root -> int
+(** Register a root; returns its (odd) slot id. *)
 
 val slot_is_root : int -> bool
-val slot_referent : pool -> int -> int
-val slot_write : pool -> int -> int -> unit
 
-val slot_addr : pool -> int -> int
+val slot_referent : pool -> Simheap.Objmodel.store -> int -> int
+val slot_write : pool -> Simheap.Objmodel.store -> int -> int -> unit
+
+val slot_addr : pool -> Simheap.Objmodel.store -> int -> int
 (** Physical address of the slot's own storage (cached holders resolve
     to their DRAM copy). *)
-
-val slot_holder : pool -> int -> Simheap.Objmodel.t
-(** Holder object of a field slot.  Must not be called on root slots. *)
 
 (** {2 Stacks} *)
 

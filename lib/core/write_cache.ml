@@ -124,10 +124,11 @@ let mark_filled pair = pair.filled <- true
 let complete_flush t pair =
   assert (not pair.flushed);
   pair.flushed <- true;
-  Simstats.Vec.iter
-    (fun (o : Simheap.Objmodel.t) ->
-      o.Simheap.Objmodel.cached <- false;
-      o.Simheap.Objmodel.phys <- o.Simheap.Objmodel.addr)
+  let st = Simheap.Heap.store t.heap in
+  Simstats.Ivec.iter
+    (fun o ->
+      Simheap.Objmodel.set_cached st o false;
+      Simheap.Objmodel.set_phys st o (Simheap.Objmodel.addr st o))
     pair.cache.Simheap.Region.objs;
   Simheap.Heap.release_cache_region t.heap pair.cache
 

@@ -148,20 +148,26 @@ let seed_work t evac =
     i
   in
   let bytes_per_thread = Array.make nthreads 0 in
-  let seed_slot target_tid slot =
-    Evacuation.seed evac ~tid:target_tid slot;
+  let charge_slot target_tid =
     bytes_per_thread.(target_tid) <-
       bytes_per_thread.(target_tid) + Simheap.Layout.ref_bytes
   in
   List.iter
     (fun (region : R.t) ->
       let target = next_tid () in
-      Simstats.Vec.iter (fun slot -> seed_slot target slot) region.R.remset)
+      Simstats.Ivec.iter
+        (fun slot ->
+          Evacuation.seed_field evac ~tid:target slot;
+          charge_slot target)
+        region.R.remset)
     (Simheap.Heap.young_regions t.heap);
   Simstats.Vec.iter
     (fun (root : O.root) ->
-      if root.O.target <> Simheap.Layout.null then
-        seed_slot (next_tid ()) (O.Root root))
+      if root.O.target <> Simheap.Layout.null then begin
+        let target = next_tid () in
+        Evacuation.seed_root evac ~tid:target root;
+        charge_slot target
+      end)
     (Simheap.Heap.roots t.heap);
   Array.iteri
     (fun i bytes ->
@@ -215,19 +221,23 @@ let cleanup_header_map t evac ~from_ns =
    reclaimed. *)
 let reclaim t evac ~cset =
   (* Drop address-table bindings of the pre-copy addresses. *)
-  Simstats.Vec.iter
+  Simstats.Ivec.iter
     (fun old_addr -> Simheap.Heap.unbind t.heap old_addr)
     (Evacuation.old_addrs evac);
+  let st = Simheap.Heap.store t.heap in
   List.iter
     (fun (region : R.t) ->
-      Simstats.Vec.iter
-        (fun (obj : O.t) ->
-          if R.contains region obj.O.addr then
-            (* Never copied: dead — drop it. *)
-            Simheap.Heap.unbind t.heap obj.O.addr
+      Simstats.Ivec.iter
+        (fun obj ->
+          let addr = O.addr st obj in
+          if R.contains region addr then begin
+            (* Never copied: dead — drop it and recycle its storage. *)
+            Simheap.Heap.unbind t.heap addr;
+            Simheap.Heap.free_object t.heap obj
+          end
           else
             (* Evacuated: scrub pause-local state. *)
-            obj.O.forward <- Simheap.Layout.null)
+            O.set_forward st obj Simheap.Layout.null)
         region.R.objs;
       Simheap.Heap.release_region t.heap region)
     cset;

@@ -61,44 +61,46 @@ let check_durable_pair acc heap memory (pair : Nvmgc.Write_cache.pair) =
           shadow.R.idx addr)
     undurable;
   capped acc (min n max_detail) n "lost lines";
-  Simstats.Vec.iter
-    (fun (obj : O.t) ->
-      if R.contains shadow obj.O.addr then begin
-        if obj.O.cached then
+  let st = H.store heap in
+  Simstats.Ivec.iter
+    (fun obj ->
+      let addr = O.addr st obj and id = O.id st obj in
+      if R.contains shadow addr then begin
+        if O.cached st obj then
           add acc
             "durable shadow region %d: object %d still marked cached (its \
              bytes live in DRAM, which the crash destroyed)"
-            shadow.R.idx obj.O.id;
-        if obj.O.phys <> obj.O.addr then
+            shadow.R.idx id;
+        if O.phys st obj <> addr then
           add acc
             "durable shadow region %d: object %d physically at 0x%x, not its \
              final address 0x%x"
-            shadow.R.idx obj.O.id obj.O.phys obj.O.addr;
-        (match H.lookup heap obj.O.addr with
-        | Some bound when bound == obj -> ()
-        | Some _ ->
-            add acc
-              "durable shadow region %d: address 0x%x bound to a different \
-               object than %d"
-              shadow.R.idx obj.O.addr obj.O.id
-        | None ->
+            shadow.R.idx id (O.phys st obj) addr;
+        (match H.find heap addr with
+        | bound when bound = obj -> ()
+        | bound when bound = O.none ->
             add acc
               "durable shadow region %d: object %d unbound at its final \
                address 0x%x"
-              shadow.R.idx obj.O.id obj.O.addr);
-        Array.iteri
-          (fun i target ->
-            if
-              target <> Simheap.Layout.null
-              && H.in_heap_range heap target
-              && (H.region_of_addr heap target).R.in_cset
-            then
-              add acc
-                "durable shadow region %d: object %d field %d points into \
-                 the collection set (0x%x) — its referent needed forwarding \
-                 state the crash destroyed"
-                shadow.R.idx obj.O.id i target)
-          obj.O.fields
+              shadow.R.idx id addr
+        | _ ->
+            add acc
+              "durable shadow region %d: address 0x%x bound to a different \
+               object than %d"
+              shadow.R.idx addr id);
+        for i = 0 to O.nfields st obj - 1 do
+          let target = O.field st obj i in
+          if
+            target <> Simheap.Layout.null
+            && H.in_heap_range heap target
+            && (H.region_of_addr heap target).R.in_cset
+          then
+            add acc
+              "durable shadow region %d: object %d field %d points into the \
+               collection set (0x%x) — its referent needed forwarding state \
+               the crash destroyed"
+              shadow.R.idx id i target
+        done
       end)
     shadow.R.objs
 
@@ -153,7 +155,8 @@ let surviving_objects heap (crash : Nvmgc.Evacuation.crash_state) =
             Hashtbl.replace durable_shadow_idx
               pair.Nvmgc.Write_cache.shadow.R.idx ())
         (Nvmgc.Write_cache.pairs wc));
-  let objs = ref [] in
+  let st = H.store heap in
+  let objs = Simstats.Ivec.create () in
   H.iter_regions
     (fun (region : R.t) ->
       let survives =
@@ -161,12 +164,13 @@ let surviving_objects heap (crash : Nvmgc.Evacuation.crash_state) =
         || Hashtbl.mem durable_shadow_idx region.R.idx
       in
       if survives then
-        Simstats.Vec.iter
-          (fun (obj : O.t) ->
-            if R.contains region obj.O.addr then objs := obj :: !objs)
+        Simstats.Ivec.iter
+          (fun obj ->
+            if R.contains region (O.addr st obj) then
+              Simstats.Ivec.push objs obj)
           region.R.objs)
     heap;
-  List.rev !objs
+  Simstats.Ivec.to_array objs
 
 (* ------------------------------------------------------------------ *)
 

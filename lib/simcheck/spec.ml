@@ -167,12 +167,16 @@ let instantiate ?heap spec =
     | None -> failwith "Simcheck.Spec: heap exhausted during instantiation"
   in
   let alloc_into kind region_ref ~size ~nfields =
-    match H.new_object heap !region_ref ~size ~nfields with
-    | Some obj -> obj
-    | None ->
-        region_ref := fresh_region kind;
-        Option.get (H.new_object heap !region_ref ~size ~nfields)
+    let obj = H.new_object heap !region_ref ~size ~nfields in
+    if obj <> O.none then obj
+    else begin
+      region_ref := fresh_region kind;
+      let obj = H.new_object heap !region_ref ~size ~nfields in
+      if obj = O.none then failwith "Simcheck.Spec: object larger than a region";
+      obj
+    end
   in
+  let st = H.store heap in
   (* Holders first, then the young objects, so ids depend only on the
      specification. *)
   let old_region = ref (fresh_region R.Old) in
@@ -189,29 +193,29 @@ let instantiate ?heap spec =
       spec.objects
   in
   for i = 0 to Array.length spec.objects - 1 do
-    let targets = spec.objects.(i).fields and fields = objects.(i).O.fields in
+    let targets = spec.objects.(i).fields and obj = objects.(i) in
     for k = 0 to Array.length targets - 1 do
-      fields.(k) <-
+      O.set_field st obj k
         (match targets.(k) with
         | Null -> Simheap.Layout.null
-        | Young j -> objects.(j).O.addr
-        | Old h -> holders.(h).O.addr)
+        | Young j -> O.addr st objects.(j)
+        | Old h -> O.addr st holders.(h))
     done
   done;
   let cursor = ref 0 in
   Array.iter
     (fun anchor ->
-      let addr = objects.(anchor_target anchor).O.addr in
+      let addr = O.addr st objects.(anchor_target anchor) in
       match anchor with
       | Root _ -> ignore (H.new_root heap addr)
       | Remset _ ->
-          let holder = holders.(!cursor / holder_fields) in
-          let field = !cursor mod holder_fields in
+          let slot =
+            O.field_slot holders.(!cursor / holder_fields)
+              (!cursor mod holder_fields)
+          in
           incr cursor;
-          holder.O.fields.(field) <- addr;
-          Simstats.Vec.push
-            (H.region_of_addr heap addr).R.remset
-            (O.Field (holder, field)))
+          O.slot_write st slot addr;
+          Simstats.Ivec.push (H.region_of_addr heap addr).R.remset slot)
     spec.anchors;
   { heap; objects; holders }
 

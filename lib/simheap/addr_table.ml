@@ -1,4 +1,4 @@
-(** Open-addressing address→object table backing {!Heap}'s object map.
+(** Open-addressing address→handle table backing {!Heap}'s object map.
 
     The evacuation inner loop performs one lookup per reference slot and
     the workload generator one insert per live object, so the generic
@@ -20,13 +20,13 @@
 
 type t = {
   mutable keys : int array;  (** 0 = empty, -1 = tombstone, else address *)
-  mutable vals : Objmodel.t array;
+  mutable vals : int array;  (** object handles; stale where unbound *)
   mutable mask : int;  (** capacity - 1; capacity is a power of two *)
   mutable live : int;  (** bound keys *)
   mutable fill : int;  (** bound keys + tombstones *)
   base_keys : int array;  (** the [initial_capacity] arrays {!clear} restores *)
-  base_vals : Objmodel.t array;
-  mutable spare : (int array * Objmodel.t array) list;
+  base_vals : int array;
+  mutable spare : (int array * int array) list;
       (** outgrown arrays of at most [max_spare_capacity] slots, handed
           back to {!grow} after a {!clear} instead of reallocated *)
 }
@@ -57,7 +57,7 @@ let max_spare_capacity = 1024
 
 let create () =
   let keys = Array.make initial_capacity empty_key in
-  let vals = Array.make initial_capacity Region.dummy_obj in
+  let vals = Array.make initial_capacity Objmodel.none in
   {
     keys;
     vals;
@@ -89,6 +89,9 @@ let probe_distance t addr =
   let i = find t addr in
   if i < 0 then -1 else (i - slot_of t.mask addr) land t.mask
 
+let rec empty_from (keys : int array) mask i =
+  if keys.(i) = empty_key then i else empty_from keys mask ((i + 1) land mask)
+
 (* First tombstone seen is reusable, but only if [addr] turns out to be
    absent — [grave] carries its index through the probe. *)
 let rec insert_dest (keys : int array) mask (addr : int) i grave =
@@ -101,15 +104,14 @@ let rec insert_dest (keys : int array) mask (addr : int) i grave =
       (if k = tombstone && grave < 0 then i else grave)
 
 (* Keep arrays the table has outgrown for its next regrowth after a
-   {!clear}, emptied first so that a spare holds no object alive. *)
+   {!clear}, their keys emptied (values under empty keys are never read). *)
 let retire t keys vals =
   if keys != t.base_keys && Array.length keys <= max_spare_capacity then begin
     Array.fill keys 0 (Array.length keys) empty_key;
-    Array.fill vals 0 (Array.length vals) Region.dummy_obj;
     t.spare <- (keys, vals) :: t.spare
   end
 
-let rec insert t addr obj =
+let rec insert t addr (obj : int) =
   let keys = t.keys and mask = t.mask in
   let d = insert_dest keys mask addr (slot_of mask addr) (-1) in
   if keys.(d) = addr then t.vals.(d) <- obj
@@ -137,20 +139,28 @@ and grow t =
       t.vals <- v
   | None ->
       t.keys <- Array.make cap empty_key;
-      t.vals <- Array.make cap Region.dummy_obj);
-  t.mask <- cap - 1;
-  t.live <- 0;
-  t.fill <- 0;
-  Array.iteri
-    (fun i k -> if k <> empty_key && k <> tombstone then insert t k old_vals.(i))
-    old_keys;
+      t.vals <- Array.make cap Objmodel.none);
+  let keys = t.keys and vals = t.vals and mask = cap - 1 in
+  t.mask <- mask;
+  (* The new arrays hold no tombstone and no key twice, so each binding
+     lands in the first empty slot from its home: where [insert] would
+     put it, without the key compares and the fill check.  A plain loop:
+     an [Array.iteri] closure cost a call per slot. *)
+  for i = 0 to Array.length old_keys - 1 do
+    let k = old_keys.(i) in
+    if k <> empty_key && k <> tombstone then begin
+      let d = empty_from keys mask (slot_of mask k) in
+      keys.(d) <- k;
+      vals.(d) <- old_vals.(i)
+    end
+  done;
+  t.fill <- t.live;
   retire t old_keys old_vals
 
 let remove t addr =
   let i = find t addr in
   if i >= 0 then begin
     t.keys.(i) <- tombstone;
-    t.vals.(i) <- Region.dummy_obj;
     t.live <- t.live - 1
   end
 
@@ -166,7 +176,6 @@ let iter f t =
 let clear t =
   retire t t.keys t.vals;
   Array.fill t.base_keys 0 initial_capacity empty_key;
-  Array.fill t.base_vals 0 initial_capacity Region.dummy_obj;
   t.keys <- t.base_keys;
   t.vals <- t.base_vals;
   t.mask <- initial_capacity - 1;

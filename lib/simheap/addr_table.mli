@@ -1,4 +1,4 @@
-(** Open-addressing address→object table (see the implementation header
+(** Open-addressing address→handle table (see the implementation header
     for why [Hashtbl] was replaced on the evacuation hot path).  Keys must
     be strictly positive — heap addresses always are. *)
 

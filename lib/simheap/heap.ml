@@ -36,10 +36,11 @@ type t = {
           -1 otherwise — [region_of_addr] runs several times per
           evacuated reference, and a shift beats a division *)
   regions : Region.t array;
-  free : int Simstats.Vec.t;  (** indices of free heap regions *)
+  free : Simstats.Ivec.t;  (** indices of free heap regions *)
   scratch : Region.t array;
-  scratch_free : int Simstats.Vec.t;
-  addr_map : Addr_table.t;
+  scratch_free : Simstats.Ivec.t;
+  store : Objmodel.store;  (** every object of this heap *)
+  addr_map : Addr_table.t;  (** address -> handle *)
   roots : Objmodel.root Simstats.Vec.t;
   mutable next_obj_id : int;
   mutable next_root_id : int;
@@ -49,10 +50,10 @@ let dummy_root : Objmodel.root = { root_id = -1; target = Layout.null }
 
 let fill_free_lists t =
   for i = t.config.heap_regions - 1 downto 0 do
-    Simstats.Vec.push t.free i
+    Simstats.Ivec.push t.free i
   done;
   for i = t.config.dram_scratch_regions - 1 downto 0 do
-    Simstats.Vec.push t.scratch_free i
+    Simstats.Ivec.push t.scratch_free i
   done
 
 let create config =
@@ -78,9 +79,10 @@ let create config =
            log2 b 0
          else -1);
       regions = Array.init config.heap_regions region;
-      free = Simstats.Vec.create (-1);
+      free = Simstats.Ivec.create ();
       scratch = Array.init config.dram_scratch_regions scratch;
-      scratch_free = Simstats.Vec.create (-1);
+      scratch_free = Simstats.Ivec.create ();
+      store = Objmodel.create_store ~max_object_bytes:config.region_bytes ();
       addr_map = Addr_table.create ();
       roots = Simstats.Vec.create dummy_root;
       next_obj_id = 0;
@@ -91,10 +93,10 @@ let create config =
   t
 
 (* Everything [create] sets, set again in place: regions empty, free and
-   back on their configured space, both free lists in creation order, the
-   address table at its initial capacity, no roots and both id counters
-   at zero.  Only backing-array capacities survive, and no query sees
-   those. *)
+   back on their configured space, both free lists in creation order, an
+   empty object store handing out a fresh store's handles, the address
+   table at its initial capacity, no roots and both id counters at zero.
+   Only backing-array capacities survive, and no query sees those. *)
 let reset t =
   Array.iter
     (fun (r : Region.t) ->
@@ -106,15 +108,18 @@ let reset t =
       Region.reset r;
       r.Region.space <- Memsim.Access.Dram)
     t.scratch;
-  Simstats.Vec.clear t.free;
-  Simstats.Vec.clear t.scratch_free;
+  Simstats.Ivec.clear t.free;
+  Simstats.Ivec.clear t.scratch_free;
   fill_free_lists t;
+  Objmodel.clear t.store;
   Addr_table.clear t.addr_map;
   Simstats.Vec.clear t.roots;
   t.next_obj_id <- 0;
   t.next_root_id <- 0
 
 let config t = t.config
+
+let store t = t.store
 
 let region_bytes t = t.config.region_bytes
 
@@ -144,9 +149,9 @@ let space_for t (kind : Region.kind) =
 (** Take a free heap region and assign it a role.  [None] when the heap is
     exhausted. *)
 let alloc_region t kind =
-  match Simstats.Vec.pop t.free with
-  | None -> None
-  | Some idx ->
+  match Simstats.Ivec.pop_or t.free (-1) with
+  | -1 -> None
+  | idx ->
       let r = t.regions.(idx) in
       assert (r.Region.kind = Region.Free);
       r.Region.kind <- kind;
@@ -155,23 +160,23 @@ let alloc_region t kind =
 
 (** Take a DRAM scratch region for the GC write cache. *)
 let alloc_cache_region t =
-  match Simstats.Vec.pop t.scratch_free with
-  | None -> None
-  | Some idx ->
+  match Simstats.Ivec.pop_or t.scratch_free (-1) with
+  | -1 -> None
+  | idx ->
       let r = t.scratch.(idx) in
       r.Region.kind <- Region.Cache;
       Some r
 
 let release_region t (r : Region.t) =
   Region.reset r;
-  Simstats.Vec.push t.free r.Region.idx
+  Simstats.Ivec.push t.free r.Region.idx
 
 let release_cache_region t (r : Region.t) =
   Region.reset r;
-  Simstats.Vec.push t.scratch_free r.Region.idx
+  Simstats.Ivec.push t.scratch_free r.Region.idx
 
-let free_regions t = Simstats.Vec.length t.free
-let free_cache_regions t = Simstats.Vec.length t.scratch_free
+let free_regions t = Simstats.Ivec.length t.free
+let free_cache_regions t = Simstats.Ivec.length t.scratch_free
 
 let in_heap_range t addr = addr >= Layout.heap_base && addr < t.heap_limit
 
@@ -188,9 +193,9 @@ let lookup t addr =
 
 (* Allocation-free [lookup] for verification walks, which probe once per
    reference field of every live object: [Some] would allocate per probe. *)
-let lookup_or_dummy t addr =
+let find t addr =
   let i = Addr_table.find t.addr_map addr in
-  if i < 0 then Region.dummy_obj else Addr_table.value t.addr_map i
+  if i < 0 then Objmodel.none else Addr_table.value t.addr_map i
 
 let lookup_exn t addr =
   let i = Addr_table.find t.addr_map addr in
@@ -201,20 +206,21 @@ let bind t addr obj = Addr_table.insert t.addr_map addr obj
 let unbind t addr = Addr_table.remove t.addr_map addr
 
 (** Allocate an object of [size] bytes with [nfields] (null) reference
-    fields inside [region].  [None] when the region is full. *)
+    fields inside [region].  {!Objmodel.none} when the region is full. *)
 let new_object t region ~size ~nfields =
   let addr = Region.try_alloc region size in
-  if addr < 0 then None
+  if addr < 0 then Objmodel.none
   else begin
     let obj =
-      Objmodel.make ~id:t.next_obj_id ~addr ~size
-        ~fields:(Array.make nfields Layout.null)
+      Objmodel.alloc t.store ~id:t.next_obj_id ~addr ~size ~nfields
     in
     t.next_obj_id <- t.next_obj_id + 1;
-    Simstats.Vec.push region.Region.objs obj;
+    Simstats.Ivec.push region.Region.objs obj;
     bind t addr obj;
-    Some obj
+    obj
   end
+
+let free_object t obj = Objmodel.free t.store obj
 
 let new_root t target =
   let root : Objmodel.root = { root_id = t.next_root_id; target } in

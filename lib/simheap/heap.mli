@@ -21,11 +21,15 @@ val create : config -> t
 val reset : t -> unit
 (** Return the heap to a state no query can tell apart from
     [create (config t)]: every region free, empty and on its configured
-    space, the free lists in creation order, no bindings, no roots, and
-    object and root ids counting from zero again.  Objects of the previous
-    life are unbound but not modified. *)
+    space, the free lists in creation order, an empty object store, no
+    bindings, no roots, and object and root ids counting from zero again.
+    Handles of the previous life are freed (and will be reused). *)
 
 val config : t -> config
+
+val store : t -> Objmodel.store
+(** The store every object of this heap lives in. *)
+
 val region_bytes : t -> int
 val young_space : t -> Memsim.Access.space
 val old_space : t -> Memsim.Access.space
@@ -46,16 +50,22 @@ val in_heap_range : t -> int -> bool
 val region_of_addr : t -> int -> Region.t
 
 val lookup : t -> int -> Objmodel.t option
-val lookup_or_dummy : t -> int -> Objmodel.t
-(** Allocation-free {!lookup}: {!Region.dummy_obj} when [addr] is
-    unbound (compare with [==]), the same idiom as
-    {!Simstats.Vec.pop_or_dummy}. *)
+
+val find : t -> int -> Objmodel.t
+(** Allocation-free {!lookup}: {!Objmodel.none} when [addr] is unbound. *)
 
 val lookup_exn : t -> int -> Objmodel.t
 val bind : t -> int -> Objmodel.t -> unit
 val unbind : t -> int -> unit
 
-val new_object : t -> Region.t -> size:int -> nfields:int -> Objmodel.t option
+val new_object : t -> Region.t -> size:int -> nfields:int -> Objmodel.t
+(** A fresh object bump-allocated in the region, listed there and bound
+    at its address; {!Objmodel.none} when the region cannot fit it. *)
+
+val free_object : t -> Objmodel.t -> unit
+(** Return a dead object's storage to the store.  The caller has already
+    unbound it, and drops it from every region list and slot. *)
+
 val new_root : t -> int -> Objmodel.root
 val roots : t -> Objmodel.root Simstats.Vec.t
 val clear_roots : t -> unit
@@ -79,4 +89,4 @@ val young_regions : t -> Region.t list
 val live_objects : t -> int
 
 val iter_bindings : (int -> Objmodel.t -> unit) -> t -> unit
-(** Iterate the address table: every (address, object) binding. *)
+(** Iterate the address table: every (address, handle) binding. *)

@@ -15,20 +15,18 @@ type t = {
       (** backing device; reassigned with the kind by placement policy *)
   mutable kind : kind;
   mutable top : int;  (** bump offset from [base] *)
-  objs : Objmodel.t Simstats.Vec.t;
-      (** objects whose storage is (or originally was) in this region *)
-  remset : Objmodel.slot Simstats.Vec.t;
-      (** references from outside the young space into this region *)
+  objs : Simstats.Ivec.t;
+      (** handles of the objects whose storage is (or originally was) in
+          this region *)
+  remset : Simstats.Ivec.t;
+      (** field slots ({!Objmodel.field_slot}) outside the young space
+          referencing this region *)
   mutable stolen_from : bool;
       (** work-stealing touched references bound for this region, which
           disables asynchronous flushing for it (paper §4.2) *)
   mutable in_cset : bool;
       (** member of the current collection set (young GC evacuates it) *)
 }
-
-let dummy_obj = Objmodel.make ~id:(-1) ~addr:0 ~size:Layout.header_bytes ~fields:[||]
-
-let dummy_slot = Objmodel.Field (dummy_obj, 0)
 
 let create ~idx ~base ~bytes ~space ~kind =
   {
@@ -38,8 +36,8 @@ let create ~idx ~base ~bytes ~space ~kind =
     space;
     kind;
     top = 0;
-    objs = Simstats.Vec.create dummy_obj;
-    remset = Simstats.Vec.create dummy_slot;
+    objs = Simstats.Ivec.create ();
+    remset = Simstats.Ivec.create ();
     stolen_from = false;
     in_cset = false;
   }
@@ -81,5 +79,5 @@ let reset t =
   t.top <- 0;
   t.stolen_from <- false;
   t.in_cset <- false;
-  Simstats.Vec.clear t.objs;
-  Simstats.Vec.clear t.remset
+  Simstats.Ivec.clear t.objs;
+  Simstats.Ivec.clear t.remset

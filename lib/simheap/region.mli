@@ -9,17 +9,16 @@ type t = {
   mutable space : Memsim.Access.space;
   mutable kind : kind;
   mutable top : int;
-  objs : Objmodel.t Simstats.Vec.t;
-      (** objects whose storage is (or originally was) in this region *)
-  remset : Objmodel.slot Simstats.Vec.t;
-      (** references from outside the young space into this region *)
+  objs : Simstats.Ivec.t;
+      (** handles of the objects whose storage is (or originally was) in
+          this region *)
+  remset : Simstats.Ivec.t;
+      (** field slots ({!Objmodel.field_slot}) outside the young space
+          referencing this region *)
   mutable stolen_from : bool;
       (** stealing touched references homed here: no asynchronous flush *)
   mutable in_cset : bool;
 }
-
-val dummy_obj : Objmodel.t
-val dummy_slot : Objmodel.slot
 
 val create :
   idx:int ->

@@ -34,8 +34,8 @@ let field_name = function
 let classify heap addr =
   if addr = Simheap.Layout.null then FNull
   else
-    let obj = H.lookup_or_dummy heap addr in
-    if obj == Simheap.Region.dummy_obj then FDangling addr else FLive obj.O.id
+    let obj = H.find heap addr in
+    if obj = O.none then FDangling addr else FLive (O.id (H.store heap) obj)
 
 let field_equal a b =
   match (a, b) with
@@ -43,13 +43,13 @@ let field_equal a b =
   | FLive x, FLive y | FDangling x, FDangling y -> x = y
   | (FNull | FLive _ | FDangling _), _ -> false
 
-let node heap (obj : O.t) =
-  let refs = obj.O.fields in
-  let fields = Array.make (Array.length refs) FNull in
-  for i = 0 to Array.length refs - 1 do
-    fields.(i) <- classify heap refs.(i)
+let node heap obj =
+  let st = H.store heap in
+  let fields = Array.make (O.nfields st obj) FNull in
+  for i = 0 to Array.length fields - 1 do
+    fields.(i) <- classify heap (O.field st obj i)
   done;
-  { id = obj.O.id; size = obj.O.size; fields }
+  { id = O.id st obj; size = O.size st obj; fields }
 
 let no_node = { id = -1; size = 0; fields = [||] }
 
@@ -81,7 +81,7 @@ let capture heap =
    makes the comparison placement-erased (a reference slot matches its
    pre-crash value whether or not its update was lost). *)
 let capture_objects heap objs =
-  let nodes = Array.of_list (List.map (node heap) objs) in
+  let nodes = Array.map (node heap) objs in
   sort_by_id nodes;
   { nodes; roots = [||] }
 
@@ -179,11 +179,11 @@ let equal a b = diff ~expected:a ~got:b = []
 let field_is heap addr f =
   if addr = Simheap.Layout.null then (match f with FNull -> true | _ -> false)
   else begin
-    let obj = H.lookup_or_dummy heap addr in
+    let obj = H.find heap addr in
     match f with
     | FNull -> false
-    | FLive id -> obj != Simheap.Region.dummy_obj && obj.O.id = id
-    | FDangling a -> obj == Simheap.Region.dummy_obj && a = addr
+    | FLive id -> obj <> O.none && O.id (H.store heap) obj = id
+    | FDangling a -> obj = O.none && a = addr
   end
 
 (* Binary search: the index of the last element of [a] (sorted by [key])
@@ -204,21 +204,21 @@ let agrees ~expected heap =
   let nodes = expected.nodes in
   let seen = Bytes.make (Array.length nodes) '\000' in
   let ok = ref true in
+  let st = H.store heap in
   H.iter_bindings
-    (fun _addr (obj : O.t) ->
+    (fun _addr obj ->
       if !ok then
-        match find_last node_id nodes obj.O.id with
+        match find_last node_id nodes (O.id st obj) with
         | -1 -> ok := false
         | e ->
             let en = nodes.(e) in
-            let refs = obj.O.fields in
-            if
-              obj.O.size <> en.size
-              || Array.length refs <> Array.length en.fields
+            let nfields = O.nfields st obj in
+            if O.size st obj <> en.size || nfields <> Array.length en.fields
             then ok := false
             else begin
-              for i = 0 to Array.length refs - 1 do
-                if not (field_is heap refs.(i) en.fields.(i)) then ok := false
+              for i = 0 to nfields - 1 do
+                if not (field_is heap (O.field st obj i) en.fields.(i)) then
+                  ok := false
               done;
               Bytes.set seen e '\001'
             end)

@@ -23,7 +23,7 @@ val field_name : field -> string
 val capture : Simheap.Heap.t -> t
 (** Snapshot the heap's address table and roots as a canonical graph. *)
 
-val capture_objects : Simheap.Heap.t -> Simheap.Objmodel.t list -> t
+val capture_objects : Simheap.Heap.t -> Simheap.Objmodel.t array -> t
 (** Like {!capture} over an explicit object set (roots empty) — the
     crash-recovery oracle's view of the objects surviving a simulated
     power failure.  Fields are classified through the full address

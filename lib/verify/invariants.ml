@@ -2,7 +2,10 @@
 
     After a young collection finishes, the simulated heap must be in a
     canonical quiescent state: only [Free] and [Old] regions remain,
-    every address-table binding is self-consistent, no pause-local state
+    every address-table binding is self-consistent and names a live
+    handle of the object store, whose live count equals the bindings (no
+    region list, remset entry or root reaches a freed handle), no
+    pause-local state
     (forwarding pointers, cached copies, collection-set or stolen-from
     marks) survives, the DRAM scratch pool is fully returned, and the
     header map is completely cleared.
@@ -36,72 +39,90 @@ let region_name (r : R.t) =
 let check_free_region ctx (r : R.t) =
   if r.R.top <> 0 then
     violation ctx "%s: free region with top = %d" (region_name r) r.R.top;
-  if Simstats.Vec.length r.R.objs <> 0 then
+  if Simstats.Ivec.length r.R.objs <> 0 then
     violation ctx "%s: free region holds %d objects" (region_name r)
-      (Simstats.Vec.length r.R.objs);
-  if Simstats.Vec.length r.R.remset <> 0 then
+      (Simstats.Ivec.length r.R.objs);
+  if Simstats.Ivec.length r.R.remset <> 0 then
     violation ctx "%s: free region holds %d remset entries" (region_name r)
-      (Simstats.Vec.length r.R.remset);
+      (Simstats.Ivec.length r.R.remset);
   if r.R.stolen_from then
     violation ctx "%s: free region still marked stolen_from" (region_name r);
   if r.R.in_cset then
     violation ctx "%s: free region still marked in_cset" (region_name r)
 
 let unbound heap addr =
-  addr <> Simheap.Layout.null && H.lookup_or_dummy heap addr == R.dummy_obj
+  addr <> Simheap.Layout.null && H.find heap addr = O.none
 
 (* The subject of a per-object violation, built only once one is
    reported: this walk visits every old object after every pause. *)
-let where (r : R.t) (obj : O.t) =
-  Printf.sprintf "object %d @0x%x in %s" obj.O.id obj.O.addr (region_name r)
+let where st (r : R.t) obj =
+  Printf.sprintf "object %d @0x%x in %s" (O.id st obj) (O.addr st obj)
+    (region_name r)
 
 (* One live object, reached through the region that stores it. *)
-let check_live_object ctx heap (r : R.t) (obj : O.t) =
-  if not (R.contains r obj.O.addr) then
+let check_live_object ctx heap st (r : R.t) obj =
+  let addr = O.addr st obj in
+  if not (R.contains r addr) then
     violation ctx "%s: recorded in a region that does not contain it"
-      (where r obj);
-  let bound = H.lookup_or_dummy heap obj.O.addr in
-  if bound == R.dummy_obj then
-    violation ctx "%s: address not bound in the address table" (where r obj)
-  else if bound != obj then
-    violation ctx "%s: address table binds a different object (id %d)"
-      (where r obj) bound.O.id;
-  if obj.O.forward <> Simheap.Layout.null then
+      (where st r obj);
+  let bound = H.find heap addr in
+  if bound = O.none then
+    violation ctx "%s: address not bound in the address table"
+      (where st r obj)
+  else if bound <> obj then
+    if O.is_live st bound then
+      violation ctx "%s: address table binds a different object (id %d)"
+        (where st r obj) (O.id st bound)
+    else
+      violation ctx "%s: address table binds freed handle %d"
+        (where st r obj) bound;
+  if O.forward st obj <> Simheap.Layout.null then
     violation ctx "%s: forwarding pointer 0x%x survived the pause"
-      (where r obj) obj.O.forward;
-  if obj.O.cached then
+      (where st r obj) (O.forward st obj);
+  if O.cached st obj then
     violation ctx "%s: still marked cached after all pairs flushed"
-      (where r obj);
-  if obj.O.phys <> obj.O.addr then
-    violation ctx "%s: phys 0x%x differs from addr after flush" (where r obj)
-      obj.O.phys;
-  let fields = obj.O.fields in
-  for i = 0 to Array.length fields - 1 do
-    if unbound heap fields.(i) then
-      violation ctx "%s: field %d dangles (0x%x unbound)" (where r obj) i
-        fields.(i)
+      (where st r obj);
+  if O.phys st obj <> addr then
+    violation ctx "%s: phys 0x%x differs from addr after flush"
+      (where st r obj) (O.phys st obj);
+  for i = 0 to O.nfields st obj - 1 do
+    let target = O.field st obj i in
+    if unbound heap target then
+      violation ctx "%s: field %d dangles (0x%x unbound)" (where st r obj) i
+        target
   done
 
 let check_old_region ctx heap (r : R.t) =
+  let st = H.store heap in
   if r.R.in_cset then
     violation ctx "%s: old region still marked in_cset" (region_name r);
   if r.R.stolen_from then
     violation ctx "%s: old region still marked stolen_from" (region_name r);
   let used = ref 0 in
-  Simstats.Vec.iter
-    (fun (obj : O.t) ->
-      used := !used + obj.O.size;
-      check_live_object ctx heap r obj)
+  Simstats.Ivec.iter
+    (fun obj ->
+      if not (O.is_live st obj) then
+        (* A freed block's words are stale: report it and read no more. *)
+        violation ctx "%s: lists freed handle %d" (region_name r) obj
+      else begin
+        used := !used + O.size st obj;
+        check_live_object ctx heap st r obj
+      end)
     r.R.objs;
   if !used <> R.used_bytes r then
     violation ctx "%s: used_bytes %d but objects sum to %d bytes"
       (region_name r) (R.used_bytes r) !used;
-  Simstats.Vec.iter
+  Simstats.Ivec.iter
     (fun slot ->
-      let referent = O.slot_referent slot in
-      if unbound heap referent then
-        violation ctx "%s: remset entry dangles (0x%x unbound)"
-          (region_name r) referent)
+      let holder = O.slot_holder slot in
+      if not (O.is_live st holder) then
+        violation ctx "%s: remset entry names freed holder handle %d"
+          (region_name r) holder
+      else
+        let referent = O.slot_referent st slot in
+        if unbound heap referent then
+          violation ctx "%s: remset entry dangles (0x%x unbound)"
+            (region_name r) referent)
     r.R.remset
 
 (* Full scans of very large header maps would dominate small test
@@ -130,13 +151,14 @@ let check_header_map ctx gc =
 let run gc =
   let ctx = { msgs = []; count = 0 } in
   let heap = Nvmgc.Young_gc.heap gc in
+  let st = H.store heap in
   let live_in_regions = ref 0 in
   H.iter_regions
     (fun (r : R.t) ->
       match r.R.kind with
       | R.Free -> check_free_region ctx r
       | R.Old ->
-          live_in_regions := !live_in_regions + Simstats.Vec.length r.R.objs;
+          live_in_regions := !live_in_regions + Simstats.Ivec.length r.R.objs;
           check_old_region ctx heap r
       | (R.Eden | R.Survivor | R.Cache) as k ->
           violation ctx "%s: %s region survived the pause" (region_name r)
@@ -149,19 +171,27 @@ let run gc =
     violation ctx
       "address table holds %d bindings but old regions record %d objects"
       (H.live_objects heap) !live_in_regions;
+  (* Every live handle is bound exactly once: bindings name live handles
+     (below), so equal counts leave no live handle unbound. *)
+  if O.live st <> H.live_objects heap then
+    violation ctx
+      "object store holds %d live objects but the address table %d bindings"
+      (O.live st) (H.live_objects heap);
   H.iter_bindings
-    (fun addr (obj : O.t) ->
-      if obj.O.addr <> addr then
+    (fun addr obj ->
+      if not (O.is_live st obj) then
+        violation ctx "binding 0x%x names freed handle %d" addr obj
+      else if O.addr st obj <> addr then
         violation ctx "binding 0x%x names object %d whose addr is 0x%x" addr
-          obj.O.id obj.O.addr
+          (O.id st obj) (O.addr st obj)
       else if not (H.in_heap_range heap addr) then
         violation ctx "binding 0x%x (object %d) outside the heap range" addr
-          obj.O.id
+          (O.id st obj)
       else
         let r = H.region_of_addr heap addr in
         if r.R.kind <> R.Old then
           violation ctx "binding 0x%x (object %d) lives in a %s region" addr
-            obj.O.id (R.kind_name r.R.kind))
+            (O.id st obj) (R.kind_name r.R.kind))
     heap;
   (* Scratch pool: every DRAM cache region must have been released. *)
   let free_scratch = H.free_cache_regions heap in
@@ -178,9 +208,14 @@ let run gc =
   (* Roots must point at live bindings (or null). *)
   Simstats.Vec.iter
     (fun (root : O.root) ->
-      if unbound heap root.O.target then
-        violation ctx "root %d dangles (0x%x unbound)" root.O.root_id
-          root.O.target)
+      let target = root.O.target in
+      if target <> Simheap.Layout.null then begin
+        let obj = H.find heap target in
+        if obj = O.none then
+          violation ctx "root %d dangles (0x%x unbound)" root.O.root_id target
+        else if not (O.is_live st obj) then
+          violation ctx "root %d names freed handle %d" root.O.root_id obj
+      end)
     (H.roots heap);
   check_header_map ctx gc;
   let msgs = List.rev ctx.msgs in

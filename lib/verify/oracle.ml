@@ -18,6 +18,7 @@ module R = Simheap.Region
 module O = Simheap.Objmodel
 module H = Simheap.Heap
 module V = Simstats.Vec
+module IV = Simstats.Ivec
 
 (* How a reference field (or anchor slot) relates to the young generation
    of the snapshotted pause, as an int: [0] null, [-(id + 1)] the young
@@ -44,9 +45,14 @@ type snapshot = {
       (** survivor [k]'s field classes are [classes.(first.(k))] up to,
           excluding, [classes.(first.(k + 1))] *)
   classes : int array;
-  slots : O.slot array;  (** anchors: cset remset slots, then roots *)
-  anchor_classes : int array;  (** each anchor's pre-pause class *)
+  field_anchors : int array;  (** cset remset field slots *)
+  root_anchors : O.root array;  (** non-null roots *)
+  anchor_classes : int array;
+      (** each anchor's pre-pause class: the field anchors', then the
+          roots' *)
 }
+
+let dummy_root : O.root = { O.root_id = -1; target = Simheap.Layout.null }
 
 let in_young_region heap addr =
   H.in_heap_range heap addr
@@ -57,65 +63,74 @@ let in_young_region heap addr =
 
 let snapshot gc =
   let heap = Nvmgc.Young_gc.heap gc in
-  let young_objs = V.create R.dummy_obj in
+  let st = H.store heap in
+  let young_objs = IV.create () in
   let lo = ref max_int and hi = ref (-1) in
   H.iter_bindings
-    (fun addr (obj : O.t) ->
+    (fun addr obj ->
       if in_young_region heap addr then begin
-        V.push young_objs obj;
-        lo := Int.min !lo obj.O.id;
-        hi := Int.max !hi obj.O.id
+        IV.push young_objs obj;
+        lo := Int.min !lo (O.id st obj);
+        hi := Int.max !hi (O.id st obj)
       end)
     heap;
   let lo = if !hi < 0 then 0 else !lo in
   let young = Array.make (!hi - lo + 1) not_young in
-  V.iter (fun (obj : O.t) -> young.(obj.O.id - lo) <- dead) young_objs;
+  IV.iter (fun obj -> young.(O.id st obj - lo) <- dead) young_objs;
   (* Breadth-first: [survivors] is both the result and the queue, and
      classifying a young referent marks it reached. *)
-  let survivors = V.create R.dummy_obj in
+  let survivors = IV.create () in
   let classify addr =
-    let obj =
-      if in_young_region heap addr then H.lookup_or_dummy heap addr
-      else R.dummy_obj
-    in
-    if obj == R.dummy_obj then addr
+    let obj = if in_young_region heap addr then H.find heap addr else O.none in
+    if obj = O.none then addr
     else begin
-      let k = obj.O.id - lo in
+      let id = O.id st obj in
+      let k = id - lo in
       if young.(k) = dead then begin
-        young.(k) <- V.length survivors;
-        V.push survivors obj
+        young.(k) <- IV.length survivors;
+        IV.push survivors obj
       end;
-      young_class obj.O.id
+      young_class id
     end
   in
-  let slots = V.create R.dummy_slot and anchor_classes = V.create 0 in
-  let anchor slot =
-    V.push slots slot;
-    V.push anchor_classes (classify (O.slot_referent slot))
-  in
-  List.iter (fun (r : R.t) -> V.iter anchor r.R.remset) (H.young_regions heap);
+  let field_anchors = IV.create () and root_anchors = V.create dummy_root in
+  let anchor_classes = IV.create () in
+  List.iter
+    (fun (r : R.t) ->
+      IV.iter
+        (fun slot ->
+          IV.push field_anchors slot;
+          IV.push anchor_classes (classify (O.slot_referent st slot)))
+        r.R.remset)
+    (H.young_regions heap);
   V.iter
     (fun (root : O.root) ->
-      if root.O.target <> Simheap.Layout.null then anchor (O.Root root))
+      if root.O.target <> Simheap.Layout.null then begin
+        V.push root_anchors root;
+        IV.push anchor_classes (classify root.O.target)
+      end)
     (H.roots heap);
-  let sizes = V.create 0 and first = V.create 0 and classes = V.create 0 in
+  let sizes = IV.create () and first = IV.create () and classes = IV.create () in
   let k = ref 0 in
-  while !k < V.length survivors do
-    let obj = V.get survivors !k in
-    V.push sizes obj.O.size;
-    V.push first (V.length classes);
-    Array.iter (fun f -> V.push classes (classify f)) obj.O.fields;
+  while !k < IV.length survivors do
+    let obj = IV.get survivors !k in
+    IV.push sizes (O.size st obj);
+    IV.push first (IV.length classes);
+    for i = 0 to O.nfields st obj - 1 do
+      IV.push classes (classify (O.field st obj i))
+    done;
     incr k
   done;
-  V.push first (V.length classes);
+  IV.push first (IV.length classes);
   {
     lo;
     young;
-    sizes = V.to_array sizes;
-    first = V.to_array first;
-    classes = V.to_array classes;
-    slots = V.to_array slots;
-    anchor_classes = V.to_array anchor_classes;
+    sizes = IV.to_array sizes;
+    first = IV.to_array first;
+    classes = IV.to_array classes;
+    field_anchors = IV.to_array field_anchors;
+    root_anchors = V.to_array root_anchors;
+    anchor_classes = IV.to_array anchor_classes;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -142,25 +157,29 @@ let entry snap id =
 let post_class snap heap addr =
   if addr = Simheap.Layout.null then addr
   else
-    let obj = H.lookup_or_dummy heap addr in
-    if entry snap obj.O.id <> not_young then young_class obj.O.id else addr
+    let obj = H.find heap addr in
+    if obj = O.none then addr
+    else
+      let id = O.id (H.store heap) obj in
+      if entry snap id <> not_young then young_class id else addr
 
 (* Size and per-field reference graph of the real copy of survivor [k]. *)
-let check_survivor ctx snap heap (obj : O.t) k =
-  let id = obj.O.id in
-  if obj.O.size <> snap.sizes.(k) then
+let check_survivor ctx snap heap obj k =
+  let st = H.store heap in
+  let id = O.id st obj in
+  if O.size st obj <> snap.sizes.(k) then
     mismatch ctx "object %d: size %d after evacuation, %d before" id
-      obj.O.size snap.sizes.(k);
+      (O.size st obj) snap.sizes.(k);
   let base = snap.first.(k) in
   let expected = snap.first.(k + 1) - base in
-  let fields = obj.O.fields in
-  if Array.length fields <> expected then
+  let nfields = O.nfields st obj in
+  if nfields <> expected then
     mismatch ctx "object %d: field count changed (%d -> %d)" id expected
-      (Array.length fields)
+      nfields
   else
     for i = 0 to expected - 1 do
       let want = snap.classes.(base + i) in
-      let got = post_class snap heap fields.(i) in
+      let got = post_class snap heap (O.field st obj i) in
       if got <> want then
         mismatch ctx "object %d field %d: oracle %s, collector %s" id i
           (class_name want) (class_name got)
@@ -172,14 +191,15 @@ let check_survivor ctx snap heap (obj : O.t) k =
     collector agrees with the oracle exactly).  [snap] is not modified. *)
 let diff snap gc (pause : Nvmgc.Gc_stats.pause) =
   let heap = Nvmgc.Young_gc.heap gc in
+  let st = H.store heap in
   let ctx = { msgs = []; count = 0 } in
   (* The real survivors are the post-pause bindings whose id was young
      when the pause began; the surviving set must match the oracle's in
      both directions. *)
   let seen = Bytes.make (Array.length snap.young) '\000' in
   H.iter_bindings
-    (fun _addr (obj : O.t) ->
-      let id = obj.O.id in
+    (fun _addr obj ->
+      let id = O.id st obj in
       let e = entry snap id in
       if e = not_young then ()
       else if Bytes.get seen (id - snap.lo) <> '\000' then
@@ -200,19 +220,24 @@ let diff snap gc (pause : Nvmgc.Gc_stats.pause) =
   (* Anchors (remset slots and roots) must have been retargeted to the
      copy of exactly the object they referenced before the pause, and a
      referent outside the collection set must not have moved. *)
+  let check_anchor i post =
+    let want = snap.anchor_classes.(i) in
+    let got = post_class snap heap post in
+    if got = want then ()
+    else if want > 0 && got > 0 then
+      mismatch ctx "anchor slot: non-young referent moved (0x%x -> 0x%x)"
+        want got
+    else
+      mismatch ctx "anchor slot: oracle %s, collector %s (post 0x%x)"
+        (class_name want) (class_name got) post
+  in
+  let nf = Array.length snap.field_anchors in
   Array.iteri
-    (fun i slot ->
-      let want = snap.anchor_classes.(i) in
-      let post = O.slot_referent slot in
-      let got = post_class snap heap post in
-      if got = want then ()
-      else if want > 0 && got > 0 then
-        mismatch ctx "anchor slot: non-young referent moved (0x%x -> 0x%x)"
-          want got
-      else
-        mismatch ctx "anchor slot: oracle %s, collector %s (post 0x%x)"
-          (class_name want) (class_name got) post)
-    snap.slots;
+    (fun i slot -> check_anchor i (O.slot_referent st slot))
+    snap.field_anchors;
+  Array.iteri
+    (fun i (root : O.root) -> check_anchor (nf + i) root.O.target)
+    snap.root_anchors;
   (* The pause's copy counters must account for exactly the oracle's
      survivors. *)
   let oracle_objects = Array.length snap.sizes in

@@ -85,8 +85,7 @@ type builder = {
 }
 
 (* Allocate one live object (with its dead-allocation gap); returns
-   [R.dummy_obj] when eden is exhausted — sentinel rather than option so
-   the per-object loop allocates nothing. *)
+   [O.none] when eden is exhausted. *)
 let rec alloc_live b size nfields =
   match b.eden with
   | Some region -> begin
@@ -102,20 +101,22 @@ let rec alloc_live b size nfields =
         ignore (R.alloc region gap);
         b.allocated <- b.allocated + gap
       end;
-      match Simheap.Heap.new_object b.heap region ~size ~nfields with
-      | Some obj ->
-          b.allocated <- b.allocated + size;
-          b.live <- b.live + size;
-          obj
-      | None ->
-          b.eden <- None;
-          alloc_live b size nfields
+      let obj = Simheap.Heap.new_object b.heap region ~size ~nfields in
+      if obj = O.none then begin
+        b.eden <- None;
+        alloc_live b size nfields
+      end
+      else begin
+        b.allocated <- b.allocated + size;
+        b.live <- b.live + size;
+        obj
+      end
     end
   | None -> begin
-      if b.eden_count >= P.young_regions b.profile then R.dummy_obj
+      if b.eden_count >= P.young_regions b.profile then O.none
       else begin
         match Simheap.Heap.alloc_region b.heap R.Eden with
-        | None -> R.dummy_obj
+        | None -> O.none
         | Some region ->
             b.eden <- Some region;
             b.eden_count <- b.eden_count + 1;
@@ -123,17 +124,17 @@ let rec alloc_live b size nfields =
       end
   end
 
-(* Per-domain construction arena, reused across cycles.  Open nodes are
-   structure-of-arrays: the object and its next free field index in
-   parallel vectors (the record version allocated one box per open node
-   and another per chain-tail advance). *)
+(* Per-domain construction arena of object handles, reused across
+   cycles.  Open nodes are structure-of-arrays: the object and its next
+   free field index in parallel vectors (the record version allocated one
+   box per open node and another per chain-tail advance). *)
 type arena = {
-  nodes : O.t Simstats.Vec.t;
-  arrays : O.t Simstats.Vec.t;
-  entries : O.t Simstats.Vec.t;
-  open_objs : O.t Simstats.Vec.t;
-  open_next : int Simstats.Vec.t;
-  tail_objs : O.t Simstats.Vec.t;
+  nodes : Simstats.Ivec.t;
+  arrays : Simstats.Ivec.t;
+  entries : Simstats.Ivec.t;
+  open_objs : Simstats.Ivec.t;
+  open_next : Simstats.Ivec.t;
+  tail_objs : Simstats.Ivec.t;
       (** chain tails; a tail's link field is always 0, so only the
           object needs storing *)
   mutable shapes : (P.t * shape_params) option;
@@ -143,12 +144,12 @@ type arena = {
 let arena_key =
   Domain.DLS.new_key (fun () ->
       {
-        nodes = Simstats.Vec.create R.dummy_obj;
-        arrays = Simstats.Vec.create R.dummy_obj;
-        entries = Simstats.Vec.create R.dummy_obj;
-        open_objs = Simstats.Vec.create R.dummy_obj;
-        open_next = Simstats.Vec.create 0;
-        tail_objs = Simstats.Vec.create R.dummy_obj;
+        nodes = Simstats.Ivec.create ();
+        arrays = Simstats.Ivec.create ();
+        entries = Simstats.Ivec.create ();
+        open_objs = Simstats.Ivec.create ();
+        open_next = Simstats.Ivec.create ();
+        tail_objs = Simstats.Ivec.create ();
         shapes = None;
       })
 
@@ -167,18 +168,19 @@ let generate ~heap ~(profile : P.t) ~rng ~old_pool =
     { heap; profile; rng; eden = None; eden_count = 0; allocated = 0; live = 0 }
   in
   let target_live = P.live_bytes_per_gc profile in
+  let st = Simheap.Heap.store heap in
   let a = Domain.DLS.get arena_key in
   let shapes = shapes_for a profile in
   let nodes = a.nodes and arrays = a.arrays in
   let entries = a.entries in
   let open_objs = a.open_objs and open_next = a.open_next in
   let tail_objs = a.tail_objs in
-  Simstats.Vec.clear nodes;
-  Simstats.Vec.clear arrays;
-  Simstats.Vec.clear entries;
-  Simstats.Vec.clear open_objs;
-  Simstats.Vec.clear open_next;
-  Simstats.Vec.clear tail_objs;
+  Simstats.Ivec.clear nodes;
+  Simstats.Ivec.clear arrays;
+  Simstats.Ivec.clear entries;
+  Simstats.Ivec.clear open_objs;
+  Simstats.Ivec.clear open_next;
+  Simstats.Ivec.clear tail_objs;
   (* 1. Materialize the live population. *)
   let continue_ = ref true in
   while !continue_ && b.live < target_live do
@@ -188,79 +190,79 @@ let generate ~heap ~(profile : P.t) ~rng ~old_pool =
       else node_shape shapes rng
     in
     let obj = alloc_live b size nfields in
-    if obj == R.dummy_obj then continue_ := false
-    else if is_array then Simstats.Vec.push arrays obj
-    else Simstats.Vec.push nodes obj
+    if obj = O.none then continue_ := false
+    else if is_array then Simstats.Ivec.push arrays obj
+    else Simstats.Ivec.push nodes obj
   done;
   (* The retired cons/[Array.of_list] representation enumerated both
      populations newest-first; reversing the push-ordered vectors keeps
      the generator stream (and thus every produced graph) bit-identical. *)
-  Simstats.Vec.reverse_in_place nodes;
-  Simstats.Vec.reverse_in_place arrays;
-  Simstats.Vec.shuffle rng nodes;
+  Simstats.Ivec.reverse_in_place nodes;
+  Simstats.Ivec.reverse_in_place arrays;
+  Simstats.Ivec.shuffle rng nodes;
   (* 2. Partition nodes into entry-anchored structures. *)
-  let total_live = Simstats.Vec.length nodes + Simstats.Vec.length arrays in
+  let total_live = Simstats.Ivec.length nodes + Simstats.Ivec.length arrays in
   let entry_count =
     max 1
       (min
-         (Simstats.Vec.length nodes)
+         (Simstats.Ivec.length nodes)
          (int_of_float (profile.P.entry_fraction *. float_of_int total_live)))
   in
   let chains = ref 0 and trees = ref 0 in
-  let new_entry (obj : O.t) =
-    Simstats.Vec.push entries obj;
-    if O.nfields obj > 0
+  let new_entry obj =
+    Simstats.Ivec.push entries obj;
+    if O.nfields st obj > 0
        && Simstats.Prng.float rng 1.0 < profile.P.chain_fraction
     then begin
       incr chains;
-      Simstats.Vec.push tail_objs obj
+      Simstats.Ivec.push tail_objs obj
     end
     else begin
       incr trees;
-      if O.nfields obj > 0 then begin
-        Simstats.Vec.push open_objs obj;
-        Simstats.Vec.push open_next 0
+      if O.nfields st obj > 0 then begin
+        Simstats.Ivec.push open_objs obj;
+        Simstats.Ivec.push open_next 0
       end
     end
   in
   for i = 0 to entry_count - 1 do
-    new_entry (Simstats.Vec.get nodes i)
+    new_entry (Simstats.Ivec.get nodes i)
   done;
   (* Members join a random structure: chains grow at their tail through
      field 0; trees attach members at any open field. *)
-  let attach_to_tree (member : O.t) =
-    let n = Simstats.Vec.length open_objs in
+  let attach_to_tree member =
+    let n = Simstats.Ivec.length open_objs in
     if n = 0 then false
     else begin
       let i = Simstats.Prng.int rng n in
-      let parent = Simstats.Vec.get open_objs i in
-      let next_field = Simstats.Vec.get open_next i in
-      parent.O.fields.(next_field) <- member.O.addr;
-      if next_field + 1 >= O.nfields parent then begin
+      let parent = Simstats.Ivec.get open_objs i in
+      let next_field = Simstats.Ivec.get open_next i in
+      O.set_field st parent next_field (O.addr st member);
+      if next_field + 1 >= O.nfields st parent then begin
         (* swap-remove the saturated parent from both columns *)
-        let last = Simstats.Vec.length open_objs - 1 in
-        Simstats.Vec.set open_objs i (Simstats.Vec.get open_objs last);
-        Simstats.Vec.set open_next i (Simstats.Vec.get open_next last);
-        ignore (Simstats.Vec.pop_or_dummy open_objs : O.t);
-        ignore (Simstats.Vec.pop_or_dummy open_next : int)
+        let last = Simstats.Ivec.length open_objs - 1 in
+        Simstats.Ivec.set open_objs i (Simstats.Ivec.get open_objs last);
+        Simstats.Ivec.set open_next i (Simstats.Ivec.get open_next last);
+        ignore (Simstats.Ivec.pop_or open_objs O.none : int);
+        ignore (Simstats.Ivec.pop_or open_next 0 : int)
       end
-      else Simstats.Vec.set open_next i (next_field + 1);
+      else Simstats.Ivec.set open_next i (next_field + 1);
       true
     end
   in
-  let attach_to_chain (member : O.t) =
-    let n = Simstats.Vec.length tail_objs in
+  let attach_to_chain member =
+    let n = Simstats.Ivec.length tail_objs in
     if n = 0 then false
     else begin
       let i = Simstats.Prng.int rng n in
-      let tail = Simstats.Vec.get tail_objs i in
-      tail.O.fields.(0) <- member.O.addr;
-      Simstats.Vec.set tail_objs i member;
+      let tail = Simstats.Ivec.get tail_objs i in
+      O.set_field st tail 0 (O.addr st member);
+      Simstats.Ivec.set tail_objs i member;
       true
     end
   in
-  for i = entry_count to Simstats.Vec.length nodes - 1 do
-    let member = Simstats.Vec.get nodes i in
+  for i = entry_count to Simstats.Ivec.length nodes - 1 do
+    let member = Simstats.Ivec.get nodes i in
     let prefer_chain = Simstats.Prng.float rng 1.0 < profile.P.chain_fraction in
     (* How the member actually attached matters: a chain tail's field 0 is
        reserved for its successor, so only members that really joined a
@@ -280,70 +282,70 @@ let generate ~heap ~(profile : P.t) ~rng ~old_pool =
         new_entry member
     | `Chain ->
         (* field 0 is the chain link; remaining fields may host children *)
-        if O.nfields member > 1 then begin
-          Simstats.Vec.push open_objs member;
-          Simstats.Vec.push open_next 1
+        if O.nfields st member > 1 then begin
+          Simstats.Ivec.push open_objs member;
+          Simstats.Ivec.push open_next 1
         end
     | `Tree ->
-        Simstats.Vec.push open_objs member;
-        Simstats.Vec.push open_next 0
+        Simstats.Ivec.push open_objs member;
+        Simstats.Ivec.push open_next 0
   done;
   (* 3. Arrays attach as leaves wherever a field is open; orphans become
      entry structures of their own (anchored directly).  [arrays] was
      reversed above, so a forward walk is newest-first — the retired
      list order. *)
-  for i = 0 to Simstats.Vec.length arrays - 1 do
-    let arr = Simstats.Vec.get arrays i in
+  for i = 0 to Simstats.Ivec.length arrays - 1 do
+    let arr = Simstats.Ivec.get arrays i in
     if not (attach_to_tree arr) then new_entry arr
   done;
   (* 4. Point some remaining open fields at old space; null the rest
      (they were initialized null). *)
-  for k = 0 to Simstats.Vec.length open_objs - 1 do
-    let obj = Simstats.Vec.get open_objs k in
-    for i = Simstats.Vec.get open_next k to O.nfields obj - 1 do
+  for k = 0 to Simstats.Ivec.length open_objs - 1 do
+    let obj = Simstats.Ivec.get open_objs k in
+    for i = Simstats.Ivec.get open_next k to O.nfields st obj - 1 do
       if Simstats.Prng.float rng 1.0 < profile.P.old_target_fraction then begin
         let holder = Old_space.random_holder old_pool rng in
-        obj.O.fields.(i) <- holder.O.addr
+        O.set_field st obj i (O.addr st holder)
       end
     done
   done;
   (* 5. Anchor every structure entry from a remset slot or a root
      (newest-first, matching the retired list order). *)
   let remset_slots = ref 0 and root_slots = ref 0 in
-  for i = Simstats.Vec.length entries - 1 downto 0 do
-    let obj = Simstats.Vec.get entries i in
+  for i = Simstats.Ivec.length entries - 1 downto 0 do
+    let obj = Simstats.Ivec.get entries i in
     if Simstats.Prng.float rng 1.0 < profile.P.remset_fraction then begin
-      let region = Simheap.Heap.region_of_addr heap obj.O.addr in
-      let holder, field = Old_space.take_slot old_pool in
-      holder.O.fields.(field) <- obj.O.addr;
-      Simstats.Vec.push region.R.remset (O.Field (holder, field));
+      let region = Simheap.Heap.region_of_addr heap (O.addr st obj) in
+      let slot = Old_space.take_slot old_pool in
+      O.slot_write st slot (O.addr st obj);
+      Simstats.Ivec.push region.R.remset slot;
       incr remset_slots
     end
     else begin
-      ignore (Simheap.Heap.new_root heap obj.O.addr);
+      ignore (Simheap.Heap.new_root heap (O.addr st obj));
       incr root_slots
     end
   done;
   (* 6. Duplicate references: extra remset slots at ~5 % of live nodes,
      exercising forwarding-pointer deduplication. *)
-  let dup_count = Simstats.Vec.length nodes / 20 in
+  let dup_count = Simstats.Ivec.length nodes / 20 in
   for _ = 1 to dup_count do
-    if Simstats.Vec.length nodes > 0 then begin
+    if Simstats.Ivec.length nodes > 0 then begin
       let obj =
-        Simstats.Vec.get nodes
-          (Simstats.Prng.int rng (Simstats.Vec.length nodes))
+        Simstats.Ivec.get nodes
+          (Simstats.Prng.int rng (Simstats.Ivec.length nodes))
       in
-      let holder, field = Old_space.take_slot old_pool in
-      holder.O.fields.(field) <- obj.O.addr;
-      let region = Simheap.Heap.region_of_addr heap obj.O.addr in
-      Simstats.Vec.push region.R.remset (O.Field (holder, field));
+      let slot = Old_space.take_slot old_pool in
+      O.slot_write st slot (O.addr st obj);
+      let region = Simheap.Heap.region_of_addr heap (O.addr st obj) in
+      Simstats.Ivec.push region.R.remset slot;
       incr remset_slots
     end
   done;
   {
     live_objects = total_live;
     live_bytes = b.live;
-    arrays = Simstats.Vec.length arrays;
+    arrays = Simstats.Ivec.length arrays;
     chains = !chains;
     trees = !trees;
     remset_slots = !remset_slots;

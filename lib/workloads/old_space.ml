@@ -17,7 +17,7 @@ let holder_bytes = Simheap.Layout.header_bytes + (holder_fields * Simheap.Layout
 
 type t = {
   heap : Simheap.Heap.t;
-  holders : O.t Simstats.Vec.t;
+  holders : Simstats.Ivec.t;  (** handles *)
   mutable holder_region : R.t option;
   mutable holder_region_idxs : int list;  (** regions never recycled *)
   mutable cursor : int;  (** next (holder, field) slot, flattened *)
@@ -26,7 +26,7 @@ type t = {
 let create heap =
   {
     heap;
-    holders = Simstats.Vec.create R.dummy_obj;
+    holders = Simstats.Ivec.create ();
     holder_region = None;
     holder_region_idxs = [];
     cursor = 0;
@@ -35,16 +35,18 @@ let create heap =
 let rec new_holder t =
   match t.holder_region with
   | Some region -> begin
-      match
+      let obj =
         Simheap.Heap.new_object t.heap region ~size:holder_bytes
           ~nfields:holder_fields
-      with
-      | Some obj ->
-          Simstats.Vec.push t.holders obj;
-          obj
-      | None ->
-          t.holder_region <- None;
-          new_holder t
+      in
+      if obj = O.none then begin
+        t.holder_region <- None;
+        new_holder t
+      end
+      else begin
+        Simstats.Ivec.push t.holders obj;
+        obj
+      end
     end
   | None -> begin
       match Simheap.Heap.alloc_region t.heap R.Old with
@@ -57,7 +59,7 @@ let rec new_holder t =
 
 (** Make sure at least [n] holder slots exist. *)
 let ensure_slots t n =
-  while Simstats.Vec.length t.holders * holder_fields < n do
+  while Simstats.Ivec.length t.holders * holder_fields < n do
     ignore (new_holder t)
   done
 
@@ -65,40 +67,51 @@ let ensure_slots t n =
     start of each mutation cycle so stale (possibly recycled) targets are
     never dereferenced. *)
 let reset_cycle t =
-  Simstats.Vec.iter
-    (fun (h : O.t) -> Array.fill h.O.fields 0 (Array.length h.O.fields) Simheap.Layout.null)
-    t.holders;
+  let st = Simheap.Heap.store t.heap in
+  for k = 0 to Simstats.Ivec.length t.holders - 1 do
+    let h = Simstats.Ivec.unsafe_get t.holders k in
+    for i = 0 to holder_fields - 1 do
+      O.set_field st h i Simheap.Layout.null
+    done
+  done;
   t.cursor <- 0
 
-(** Next free (holder, field-index) slot; grows the pool on demand. *)
+(** Next free (holder, field-index) slot as a packed field slot
+    ({!O.field_slot}); grows the pool on demand. *)
 let take_slot t =
   ensure_slots t (t.cursor + 1);
-  let holder = Simstats.Vec.get t.holders (t.cursor / holder_fields) in
+  let holder = Simstats.Ivec.get t.holders (t.cursor / holder_fields) in
   let field = t.cursor mod holder_fields in
   t.cursor <- t.cursor + 1;
-  (holder, field)
+  O.field_slot holder field
 
 (** A random existing holder — used as the target of live-object fields
     that point into old space (read-only for the GC). *)
 let random_holder t rng =
   ensure_slots t 1;
-  Simstats.Vec.get t.holders (Simstats.Prng.int rng (Simstats.Vec.length t.holders))
+  Simstats.Ivec.get t.holders
+    (Simstats.Prng.int rng (Simstats.Ivec.length t.holders))
 
 (** Recycle promoted old regions (a costless stand-in for mixed GC) until
-    at least [keep_free] regions are free.  Holder regions are exempt. *)
+    at least [keep_free] regions are free; their objects die, and their
+    storage returns to the heap's store.  Holder regions are exempt. *)
 let recycle t ~keep_free =
   if Simheap.Heap.free_regions t.heap < keep_free then begin
     let protected_ = t.holder_region_idxs in
     let candidates = Simheap.Heap.regions_of_kind t.heap R.Old in
+    let st = Simheap.Heap.store t.heap in
     List.iter
       (fun (region : R.t) ->
         if Simheap.Heap.free_regions t.heap < keep_free
            && not (List.mem region.R.idx protected_)
         then begin
-          Simstats.Vec.iter
-            (fun (obj : O.t) ->
-              if R.contains region obj.O.addr then
-                Simheap.Heap.unbind t.heap obj.O.addr)
+          Simstats.Ivec.iter
+            (fun obj ->
+              let addr = O.addr st obj in
+              if R.contains region addr then begin
+                Simheap.Heap.unbind t.heap addr;
+                Simheap.Heap.free_object t.heap obj
+              end)
             region.R.objs;
           Simheap.Heap.release_region t.heap region
         end)

@@ -11,12 +11,14 @@ val ensure_slots : t -> int -> unit
 val reset_cycle : t -> unit
 (** Null every holder field and rewind the slot cursor. *)
 
-val take_slot : t -> Simheap.Objmodel.t * int
-(** Next free (holder, field-index) slot; grows the pool on demand. *)
+val take_slot : t -> int
+(** Next free (holder, field-index) slot, packed by
+    {!Simheap.Objmodel.field_slot}; grows the pool on demand. *)
 
 val random_holder : t -> Simstats.Prng.t -> Simheap.Objmodel.t
 (** A random holder, used as an old-space target of live-object fields. *)
 
 val recycle : t -> keep_free:int -> unit
 (** Release promoted old regions until at least [keep_free] regions are
-    free.  Holder regions are never recycled. *)
+    free, freeing their objects' storage.  Holder regions are never
+    recycled. *)

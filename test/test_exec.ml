@@ -141,13 +141,17 @@ let test_fuzz_report_identical_across_jobs () =
 let tamper name (inst : Simcheck.Spec.instance) =
   if name = "ps-all" then begin
     let unbound = ref false in
-    let try_unbind (o : Simheap.Objmodel.t) =
-      if
-        (not !unbound)
-        && Option.is_some (Simheap.Heap.lookup inst.Simcheck.Spec.heap o.addr)
-      then begin
-        Simheap.Heap.unbind inst.Simcheck.Spec.heap o.addr;
-        unbound := true
+    (* The pause freed the objects it dropped; only live ones have an
+       address to unbind. *)
+    let try_unbind o =
+      let heap = inst.Simcheck.Spec.heap in
+      let st = Simheap.Heap.store heap in
+      if (not !unbound) && Simheap.Objmodel.is_live st o then begin
+        let addr = Simheap.Objmodel.addr st o in
+        if Option.is_some (Simheap.Heap.lookup heap addr) then begin
+          Simheap.Heap.unbind heap addr;
+          unbound := true
+        end
       end
     in
     Array.iter try_unbind inst.Simcheck.Spec.holders;

@@ -62,6 +62,7 @@ let make_env_config ?(profile = test_profile) ?(seed = 1) config =
    reference itself, is not cached, has a clean header, and does not live
    in a young or free region.  Returns the set of visited objects. *)
 let check_heap_integrity env =
+  let st = H.store env.heap in
   let visited = Hashtbl.create 256 in
   let rec visit addr =
     if addr <> Simheap.Layout.null && not (Hashtbl.mem visited addr) then begin
@@ -72,15 +73,18 @@ let check_heap_integrity env =
         | Some o -> o
         | None -> Alcotest.failf "dangling reference %d" addr
       in
-      check_int "object lives at its official address" addr obj.O.addr;
-      check_int "phys = addr after the pause" obj.O.addr obj.O.phys;
-      check_bool "not cached after the pause" false obj.O.cached;
-      check_int "forwarding header scrubbed" Simheap.Layout.null obj.O.forward;
+      check_int "object lives at its official address" addr (O.addr st obj);
+      check_int "phys = addr after the pause" (O.addr st obj) (O.phys st obj);
+      check_bool "not cached after the pause" false (O.cached st obj);
+      check_int "forwarding header scrubbed" Simheap.Layout.null
+        (O.forward st obj);
       let region = H.region_of_addr env.heap addr in
       check_bool "object not in a young/free region" true
         (region.R.kind = R.Old);
       Hashtbl.add visited addr obj;
-      Array.iter visit obj.O.fields
+      for i = 0 to O.nfields st obj - 1 do
+        visit (O.field st obj i)
+      done
     end
   in
   Simstats.Vec.iter (fun (r : O.root) -> visit r.O.target) (H.roots env.heap);
@@ -321,14 +325,15 @@ let test_write_cache_flush_uncaches () =
   let wc = WC.create heap ~limit_bytes:None in
   let pair = Option.get (WC.new_pair wc) in
   let dram_addr, nvm_addr = Option.get (WC.alloc_in_pair pair 64) in
-  let obj = O.make ~id:1 ~addr:nvm_addr ~size:64 ~fields:[||] in
-  obj.O.cached <- true;
-  obj.O.phys <- dram_addr;
-  Simstats.Vec.push pair.WC.cache.R.objs obj;
+  let st = H.store heap in
+  let obj = O.alloc st ~id:1 ~addr:nvm_addr ~size:64 ~nfields:0 in
+  O.set_cached st obj true;
+  O.set_phys st obj dram_addr;
+  Simstats.Ivec.push pair.WC.cache.R.objs obj;
   let free_before = H.free_cache_regions heap in
   WC.complete_flush wc pair;
-  check_bool "object uncached" false obj.O.cached;
-  check_int "phys rehomed to NVM" nvm_addr obj.O.phys;
+  check_bool "object uncached" false (O.cached st obj);
+  check_int "phys rehomed to NVM" nvm_addr (O.phys st obj);
   check_int "cache region released" (free_before + 1)
     (H.free_cache_regions heap);
   check_bool "pair marked flushed" true pair.WC.flushed

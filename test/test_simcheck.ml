@@ -41,7 +41,9 @@ let test_graph_diff_detects_corruption () =
   let expected = G.capture inst.Spec.heap in
   (* Drop one object's binding: its node disappears and every reference
      to it dangles. *)
-  Simheap.Heap.unbind inst.Spec.heap inst.Spec.objects.(0).Simheap.Objmodel.addr;
+  Simheap.Heap.unbind inst.Spec.heap
+    (Simheap.Objmodel.addr (Simheap.Heap.store inst.Spec.heap)
+       inst.Spec.objects.(0));
   let got = G.capture inst.Spec.heap in
   check_bool "diff reports the corruption" true
     (G.diff ~expected ~got <> []);
@@ -58,13 +60,16 @@ let test_diff_heap_matches_diff () =
     let expected = G.capture heap in
     let objs = inst.Spec.objects in
     let o = objs.(seed mod Array.length objs) in
+    let module O = Simheap.Objmodel in
+    let st = Simheap.Heap.store heap in
     (match seed mod 5 with
     | 0 -> ()
-    | 1 -> Simheap.Heap.unbind heap o.Simheap.Objmodel.addr
+    | 1 -> Simheap.Heap.unbind heap (O.addr st o)
     | 2 ->
-        if Array.length o.fields > 0 then
-          o.fields.(0) <- (if o.fields.(0) = 0 then objs.(0).addr else 0)
-    | 3 -> ignore (Simheap.Heap.new_root heap o.addr)
+        if O.nfields st o > 0 then
+          O.set_field st o 0
+            (if O.field st o 0 = 0 then O.addr st objs.(0) else 0)
+    | 3 -> ignore (Simheap.Heap.new_root heap (O.addr st o))
     | _ -> Simheap.Heap.clear_roots heap);
     Alcotest.(check (list string))
       (Printf.sprintf "seed %d" seed)
@@ -289,19 +294,25 @@ let test_shrunk_spec_still_instantiates () =
 (* Flight recorder: every shrunk failure ships with the last memory
    history of its reproducer.                                          *)
 
+(* Unbind [o] unless [unbound] is already set: the tamper that injects
+   one differential failure.  The pause freed the objects it dropped;
+   only live ones have an address to unbind. *)
+let unbind_once (inst : Spec.instance) unbound o =
+  let heap = inst.Spec.heap in
+  let st = Simheap.Heap.store heap in
+  if (not !unbound) && Simheap.Objmodel.is_live st o then begin
+    let addr = Simheap.Objmodel.addr st o in
+    if Option.is_some (Simheap.Heap.lookup heap addr) then begin
+      Simheap.Heap.unbind heap addr;
+      unbound := true
+    end
+  end
+
 let test_failure_carries_flight_dump () =
   let tamper name (inst : Spec.instance) =
     if name = "ps-all" then begin
       let unbound = ref false in
-      let try_unbind (o : Simheap.Objmodel.t) =
-        if
-          (not !unbound)
-          && Option.is_some (Simheap.Heap.lookup inst.Spec.heap o.addr)
-        then begin
-          Simheap.Heap.unbind inst.Spec.heap o.addr;
-          unbound := true
-        end
-      in
+      let try_unbind o = unbind_once inst unbound o in
       Array.iter try_unbind inst.Spec.holders;
       Array.iter try_unbind inst.Spec.objects
     end
@@ -483,15 +494,7 @@ let report_digest r =
 let unbind_one_ps_all name (inst : Spec.instance) =
   if name = "ps-all" then begin
     let unbound = ref false in
-    let try_unbind (o : Simheap.Objmodel.t) =
-      if
-        (not !unbound)
-        && Option.is_some (Simheap.Heap.lookup inst.Spec.heap o.addr)
-      then begin
-        Simheap.Heap.unbind inst.Spec.heap o.addr;
-        unbound := true
-      end
-    in
+    let try_unbind o = unbind_once inst unbound o in
     Array.iter try_unbind inst.Spec.holders;
     Array.iter try_unbind inst.Spec.objects
   end
@@ -524,7 +527,9 @@ let test_golden_reports () =
    them — a completed pause, a pause killed at a crash point, a pause
    whose verification failed — a reset object must behave exactly as a
    fresh one: same pause record and collector totals, same post-pause
-   live graph, same recovery-oracle and verifier messages.              *)
+   live graph, same recovery-oracle and verifier messages, and an object
+   store that handed out the same handles and ends with the same live
+   and carved counts.                                                   *)
 
 type outcome =
   | Completed of Nvmgc.Gc_stats.pause * G.t * (int * float)
@@ -536,7 +541,8 @@ type outcome =
 (* One execution, as the campaign driver runs it, on the given objects:
    [heap] and [gc] absent means fresh ones; a given heap is reset first,
    a given collector reset to the variant's configuration, and [memory]
-   used as given.
+   used as given.  The outcome comes with the store's view of the run:
+   the instance's handles and the store's final live and carved counts.
    [corrupt] adds a root aimed outside the heap: the collector skips it
    and the post-pause invariant walk rejects it as dangling. *)
 let run_on ?heap ?gc ~memory ~spec ~threads ~sched_seed ?crash_step
@@ -581,7 +587,14 @@ let run_on ?heap ?gc ~memory ~spec ~threads ~sched_seed ?crash_step
     | exception Verify.Hooks.Verification_failure (_, msgs) ->
         Verification_failed msgs
   in
-  (outcome, heap, gc)
+  let st = Simheap.Heap.store heap in
+  let store =
+    ( inst.Spec.objects,
+      inst.Spec.holders,
+      Simheap.Objmodel.live st,
+      Simheap.Objmodel.capacity st )
+  in
+  ((outcome, store), heap, gc)
 
 let fresh_memory () = Memsim.Memory.create Memsim.Memory.default_config
 

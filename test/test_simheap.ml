@@ -25,34 +25,83 @@ let test_layout_disjoint_ranges () =
 (* Objmodel                                                            *)
 
 let test_obj_make () =
-  let o = O.make ~id:1 ~addr:1000 ~size:48 ~fields:[| 0; 0 |] in
-  check_int "nfields" 2 (O.nfields o);
-  check_int "primitive bytes" (48 - 16 - 16) (O.primitive_bytes o);
-  check_bool "not an array" false (O.is_array o);
-  check_int "phys = addr initially" o.O.addr o.O.phys;
-  let arr = O.make ~id:2 ~addr:2000 ~size:256 ~fields:[||] in
-  check_bool "array" true (O.is_array arr)
+  let st = O.create_store () in
+  let o = O.alloc st ~id:1 ~addr:1000 ~size:48 ~nfields:2 in
+  check_int "id" 1 (O.id st o);
+  check_int "nfields" 2 (O.nfields st o);
+  check_int "primitive bytes" (48 - 16 - 16) (O.primitive_bytes st o);
+  check_bool "not an array" false (O.is_array st o);
+  check_int "phys = addr initially" (O.addr st o) (O.phys st o);
+  check_int "fields start null" Simheap.Layout.null (O.field st o 1);
+  check_int "not forwarded" Simheap.Layout.null (O.forward st o);
+  check_bool "not cached" false (O.cached st o);
+  check_int "age 0" 0 (O.age st o);
+  let arr = O.alloc st ~id:2 ~addr:2000 ~size:256 ~nfields:0 in
+  check_bool "array" true (O.is_array st arr);
+  check_int "first object keeps its words" 1000 (O.addr st o);
+  Alcotest.check_raises "size below header + fields"
+    (Invalid_argument "Objmodel.alloc: size too small for the field count")
+    (fun () -> ignore (O.alloc st ~id:3 ~addr:3000 ~size:16 ~nfields:1))
 
 let test_obj_field_addrs () =
-  let o = O.make ~id:1 ~addr:1000 ~size:48 ~fields:[| 0; 0 |] in
-  check_int "field 0 after header" (1000 + 16) (O.field_addr o 0);
-  check_int "field 1" (1000 + 24) (O.field_addr o 1);
-  o.O.phys <- 5000;
-  check_int "phys addr follows phys" (5000 + 16) (O.field_phys_addr o 0);
-  check_int "official addr unchanged" (1000 + 16) (O.field_addr o 0)
+  let st = O.create_store () in
+  let o = O.alloc st ~id:1 ~addr:1000 ~size:48 ~nfields:2 in
+  check_int "field 0 after header" (1000 + 16) (O.field_addr st o 0);
+  check_int "field 1" (1000 + 24) (O.field_addr st o 1);
+  O.set_phys st o 5000;
+  check_int "phys addr follows phys" (5000 + 16) (O.field_phys_addr st o 0);
+  check_int "official addr unchanged" (1000 + 16) (O.field_addr st o 0)
 
 let test_slots () =
-  let holder = O.make ~id:1 ~addr:1000 ~size:48 ~fields:[| 77; 0 |] in
-  let field_slot = O.Field (holder, 0) in
-  check_int "field referent" 77 (O.slot_referent field_slot);
-  O.slot_write field_slot 99;
-  check_int "field updated" 99 holder.O.fields.(0);
+  let st = O.create_store () in
+  ignore (O.alloc st ~id:0 ~addr:500 ~size:16 ~nfields:0);
+  let holder = O.alloc st ~id:1 ~addr:1000 ~size:48 ~nfields:2 in
+  O.set_field st holder 0 77;
+  let slot = O.field_slot holder 1 in
+  check_bool "field slots are even" true (slot land 1 = 0);
+  check_int "holder decodes" holder (O.slot_holder slot);
+  check_int "field decodes" 1 (O.slot_field slot);
+  check_int "field referent" 77 (O.slot_referent st (O.field_slot holder 0));
+  O.slot_write st slot 99;
+  check_int "field updated" 99 (O.field st holder 1);
+  check_int "slot addr is the field's phys addr" (1000 + 24) (O.slot_addr st slot);
   let root : O.root = { O.root_id = 3; target = 55 } in
-  let root_slot = O.Root root in
-  check_int "root referent" 55 (O.slot_referent root_slot);
-  O.slot_write root_slot 66;
-  check_int "root updated" 66 root.O.target;
-  check_int "root slot addr" (Simheap.Layout.root_addr 3) (O.slot_addr root_slot)
+  check_int "root slot addr" (Simheap.Layout.root_addr 3) (O.root_addr root)
+
+(* Freed blocks return to exact-size free lists, most recent first; a
+   cleared store hands out a fresh store's handles. *)
+let test_store_recycling () =
+  let st = O.create_store () in
+  let a = O.alloc st ~id:0 ~addr:100 ~size:32 ~nfields:2 in
+  let b = O.alloc st ~id:1 ~addr:200 ~size:32 ~nfields:2 in
+  let c = O.alloc st ~id:2 ~addr:300 ~size:32 ~nfields:1 in
+  O.set_field st b 1 42;
+  check_int "live" 3 (O.live st);
+  O.free st a;
+  O.free st b;
+  check_bool "freed handle not live" false (O.is_live st b);
+  check_bool "others live" true (O.is_live st c);
+  Alcotest.check_raises "double free"
+    (Invalid_argument "Objmodel.free: handle not live") (fun () -> O.free st a);
+  check_int "live after frees" 1 (O.live st);
+  let d = O.alloc st ~id:3 ~addr:400 ~size:24 ~nfields:1 in
+  check_bool "other field counts carve a new block" true (d <> a && d <> b);
+  let e = O.alloc st ~id:4 ~addr:500 ~size:40 ~nfields:2 in
+  check_int "most recently freed block first" b e;
+  check_int "reused block is fresh" Simheap.Layout.null (O.field st e 1);
+  check_int "reused block takes the new id" 4 (O.id st e);
+  check_int "capacity counts carved blocks" 4 (O.capacity st);
+  O.clear st;
+  check_int "cleared: nothing live" 0 (O.live st);
+  check_int "cleared: nothing carved" 0 (O.capacity st);
+  check_bool "cleared handle not live" false (O.is_live st c);
+  let fresh = O.create_store () in
+  List.iter
+    (fun nfields ->
+      check_int "cleared store hands out fresh handles"
+        (O.alloc fresh ~id:0 ~addr:8 ~size:64 ~nfields)
+        (O.alloc st ~id:0 ~addr:8 ~size:64 ~nfields))
+    [ 2; 1; 2; 0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Region                                                              *)
@@ -144,19 +193,23 @@ let test_heap_addressing () =
 let test_heap_objects_and_roots () =
   let h = H.create small_config in
   let r = Option.get (H.alloc_region h R.Eden) in
-  let o = Option.get (H.new_object h r ~size:64 ~nfields:2) in
+  let o = H.new_object h r ~size:64 ~nfields:2 in
+  let st = H.store h in
+  let addr = O.addr st o in
   check_bool "bound" true
-    (match H.lookup h o.O.addr with Some x -> x == o | None -> false);
-  check_bool "lookup_exn" true (H.lookup_exn h o.O.addr == o);
-  check_bool "lookup_or_dummy" true (H.lookup_or_dummy h o.O.addr == o);
-  check_int "registered in region" 1 (Simstats.Vec.length r.R.objs);
+    (match H.lookup h addr with Some x -> x = o | None -> false);
+  check_bool "lookup_exn" true (H.lookup_exn h addr = o);
+  check_bool "find" true (H.find h addr = o);
+  check_int "registered in region" 1 (Simstats.Ivec.length r.R.objs);
   check_int "live objects" 1 (H.live_objects h);
-  H.unbind h o.O.addr;
-  Alcotest.(check bool) "unbound" true (H.lookup h o.O.addr = None);
-  check_bool "unbound is the dummy" true
-    (H.lookup_or_dummy h o.O.addr == R.dummy_obj);
-  let root = H.new_root h o.O.addr in
-  check_int "root target" o.O.addr root.O.target;
+  check_int "live in the store" 1 (O.live st);
+  H.unbind h addr;
+  Alcotest.(check bool) "unbound" true (H.lookup h addr = None);
+  check_bool "unbound finds none" true (H.find h addr = O.none);
+  H.free_object h o;
+  check_int "freed from the store" 0 (O.live st);
+  let root = H.new_root h addr in
+  check_int "root target" addr root.O.target;
   check_int "roots registered" 1 (Simstats.Vec.length (H.roots h));
   H.clear_roots h;
   check_int "roots cleared" 0 (Simstats.Vec.length (H.roots h))
@@ -168,9 +221,8 @@ let test_heap_object_fills_region () =
   let n = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    match H.new_object h r ~size:64 ~nfields:0 with
-    | Some _ -> incr n
-    | None -> continue_ := false
+    if H.new_object h r ~size:64 ~nfields:0 = O.none then continue_ := false
+    else incr n
   done;
   check_int "object capacity" 64 !n
 
@@ -189,7 +241,9 @@ let test_heap_kind_queries () =
 
 module AT = Simheap.Addr_table
 
-let obj_for addr = O.make ~id:addr ~addr ~size:32 ~fields:[||]
+(* Values are handles; the tests bind each key to the handle equal to
+   the key itself, so a lookup's value names the key it was bound to. *)
+let obj_for addr = addr
 
 (* Random insert/remove sequences over a small positive-key universe
    must leave the table in agreement with a Hashtbl model — for bound
@@ -222,7 +276,7 @@ let addr_table_agreement ~stride ops =
     let key = k * stride in
     let i = AT.find t key in
     (match Hashtbl.find_opt model key with
-    | Some id -> if not (i >= 0 && (AT.value t i).O.id = id) then ok := false
+    | Some id -> if not (i >= 0 && AT.value t i = id) then ok := false
     | None -> if i <> -1 then ok := false)
   done;
   !ok
@@ -259,7 +313,7 @@ let test_addr_table_growth =
       && List.for_all
            (fun k ->
              let i = AT.find t k in
-             i >= 0 && (AT.value t i).O.id = k)
+             i >= 0 && AT.value t i = k)
            keys)
 
 (* [iter] visits every bound key exactly once, with its value, and
@@ -271,7 +325,7 @@ let addr_table_iter_exact ~stride ops =
   let seen = Hashtbl.create 16 and ok = ref true in
   AT.iter
     (fun k o ->
-      if Hashtbl.mem seen k || (not (Hashtbl.mem model k)) || o.O.id <> k then
+      if Hashtbl.mem seen k || (not (Hashtbl.mem model k)) || o <> k then
         ok := false;
       Hashtbl.replace seen k ())
     t;
@@ -323,6 +377,7 @@ let () =
           Alcotest.test_case "make" `Quick test_obj_make;
           Alcotest.test_case "field addrs" `Quick test_obj_field_addrs;
           Alcotest.test_case "slots" `Quick test_slots;
+          Alcotest.test_case "store recycling" `Quick test_store_recycling;
         ] );
       ( "region",
         [

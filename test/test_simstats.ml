@@ -88,6 +88,44 @@ let prop_vec_model =
         ops;
       Simstats.Vec.to_list v = List.rev !model)
 
+(* Model-based property: an Ivec is an int Vec.  Random pushes, pops,
+   sets, clears, reversals and shuffles (from equal generator states)
+   leave both with the same contents, and every shuffle draws the same
+   numbers, so a caller moving between them keeps its generator stream. *)
+let prop_ivec_matches_vec =
+  QCheck2.Test.make ~name:"ivec matches vec" ~count:200
+    QCheck2.Gen.(pair int (list (pair (int_range 0 5) small_int)))
+    (fun (seed, ops) ->
+      let v = Simstats.Vec.create 0 and iv = Simstats.Ivec.create () in
+      let rv = Simstats.Prng.create seed and riv = Simstats.Prng.create seed in
+      List.iter
+        (fun (op, x) ->
+          let n = Simstats.Vec.length v in
+          match op with
+          | 0 | 1 ->
+              Simstats.Vec.push v x;
+              Simstats.Ivec.push iv x
+          | 2 ->
+              let a = Option.value (Simstats.Vec.pop v) ~default:(-1) in
+              if Simstats.Ivec.pop_or iv (-1) <> a then raise Exit
+          | 3 ->
+              if n > 0 then begin
+                Simstats.Vec.set v (x mod n) x;
+                Simstats.Ivec.set iv (x mod n) x
+              end
+          | 4 ->
+              Simstats.Vec.reverse_in_place v;
+              Simstats.Ivec.reverse_in_place iv
+          | _ ->
+              Simstats.Vec.shuffle rv v;
+              Simstats.Ivec.shuffle riv iv)
+        ops;
+      Simstats.Vec.to_array v = Simstats.Ivec.to_array iv
+      && Simstats.Prng.bits rv = Simstats.Prng.bits riv
+      &&
+      (Simstats.Ivec.clear iv;
+       Simstats.Ivec.length iv = 0))
+
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 
@@ -394,6 +432,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
           qc prop_vec_model;
+          qc prop_ivec_matches_vec;
         ] );
       ( "prng",
         [

@@ -107,12 +107,16 @@ let is_young_addr heap addr =
    the snapshot), plus what the detection tests need to know about the
    pre-pause heap.  [prepare] runs after graph generation, before the
    snapshot. *)
+(* A young object as it was going into the pause: the pause frees the
+   storage of the ones it drops, so their words are not read after it. *)
+type young = { obj : O.t; id : int; addr : int; size : int; nfields : int }
+
 type oracle_env = {
   heap : H.t;
   gc : Nvmgc.Young_gc.t;
   snap : Verify.Oracle.snapshot;
   pause : Nvmgc.Gc_stats.pause;
-  young : O.t list;  (** objects young going into the pause, ascending id *)
+  young : young list;  (** objects young going into the pause, ascending id *)
   young_roots : (O.root * int) list;
       (** roots that referenced a young object, with that pre-pause address *)
 }
@@ -134,11 +138,22 @@ let oracle_env ?(prepare = fun (_ : H.t) -> ()) seed =
   let rng = Simstats.Prng.create seed in
   ignore (Workloads.Graph_gen.generate ~heap ~profile ~rng ~old_pool);
   prepare heap;
+  let st = H.store heap in
   let young = ref [] in
   H.iter_bindings
-    (fun addr obj -> if is_young_addr heap addr then young := obj :: !young)
+    (fun addr obj ->
+      if is_young_addr heap addr then
+        young :=
+          {
+            obj;
+            id = O.id st obj;
+            addr;
+            size = O.size st obj;
+            nfields = O.nfields st obj;
+          }
+          :: !young)
     heap;
-  let young = List.sort (fun a b -> compare a.O.id b.O.id) !young in
+  let young = List.sort (fun a b -> compare a.id b.id) !young in
   let young_roots =
     List.filter_map
       (fun (root : O.root) ->
@@ -154,11 +169,14 @@ let oracle_env ?(prepare = fun (_ : H.t) -> ()) seed =
 
 let diff e = Verify.Oracle.diff e.snap e.gc e.pause
 
-(* Young objects the collector kept (still bound at their, now moved,
-   address) and the ones it dropped. *)
-let evacuated e o = H.lookup_or_dummy e.heap o.O.addr == o
+(* Young objects the collector kept (live, and bound at their, now
+   moved, address) and the ones it dropped. *)
+let evacuated e y =
+  let st = H.store e.heap in
+  O.is_live st y.obj && H.find e.heap (O.addr st y.obj) = y.obj
+
 let first_survivor e = List.find (evacuated e) e.young
-let first_dead e = List.find (fun o -> not (evacuated e o)) e.young
+let first_dead e = List.find (fun y -> not (evacuated e y)) e.young
 
 (* Same thing but exercising snapshot/diff explicitly, without going
    through the hooks, so the oracle API is covered directly. *)
@@ -203,33 +221,37 @@ let some_live_object heap = lowest_binding heap
 
 let test_invariants_catch_forward () =
   let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
   let obj = some_live_object heap in
-  obj.O.forward <- obj.O.addr + 8;
+  O.set_forward st obj (O.addr st obj + 8);
   check_bool "stale forwarding pointer detected" true
     (Verify.Invariants.run gc <> []);
-  obj.O.forward <- Simheap.Layout.null;
+  O.set_forward st obj Simheap.Layout.null;
   check_int "clean again" 0 (List.length (Verify.Invariants.run gc))
 
 let test_invariants_catch_unbound () =
   let heap, gc, _ = quiet_env () in
   let obj = some_live_object heap in
-  H.unbind heap obj.O.addr;
+  let addr = O.addr (H.store heap) obj in
+  H.unbind heap addr;
   check_bool "missing binding detected" true (Verify.Invariants.run gc <> []);
-  H.bind heap obj.O.addr obj;
+  H.bind heap addr obj;
   check_int "clean again" 0 (List.length (Verify.Invariants.run gc))
 
 let test_invariants_catch_cached_and_cset () =
   let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
   let obj = some_live_object heap in
-  obj.O.cached <- true;
-  obj.O.phys <- obj.O.addr + 64;
-  let r = H.region_of_addr heap obj.O.addr in
+  let addr = O.addr st obj in
+  O.set_cached st obj true;
+  O.set_phys st obj (addr + 64);
+  let r = H.region_of_addr heap addr in
   r.R.in_cset <- true;
   let violations = Verify.Invariants.run gc in
   check_bool "cached + phys + cset all reported" true
     (List.length violations >= 3);
-  obj.O.cached <- false;
-  obj.O.phys <- obj.O.addr;
+  O.set_cached st obj false;
+  O.set_phys st obj addr;
   r.R.in_cset <- false;
   check_int "clean again" 0 (List.length (Verify.Invariants.run gc))
 
@@ -253,12 +275,13 @@ let test_invariants_catch_header_map_residue () =
 let test_oracle_catches_lost_object () =
   let e = oracle_env 31 in
   let victim = first_survivor e in
-  H.unbind e.heap victim.O.addr;
+  let addr = O.addr (H.store e.heap) victim.obj in
+  H.unbind e.heap addr;
   check_reports "lost survivor"
     (Printf.sprintf "object %d is live per the oracle but was not evacuated"
-       victim.O.id)
+       victim.id)
     (diff e);
-  H.bind e.heap victim.O.addr victim;
+  H.bind e.heap addr victim.obj;
   check_clean "lost survivor undone" (diff e);
   (* Forge a wrong copy counter. *)
   let forged =
@@ -273,26 +296,36 @@ let test_oracle_catches_rebound_dead () =
      object for the pause to drop. *)
   let prepare heap =
     let eden = Option.get (H.alloc_region heap R.Eden) in
-    ignore (Option.get (H.new_object heap eden ~size:32 ~nfields:1))
+    check_bool "unreachable object allocated" true
+      (H.new_object heap eden ~size:32 ~nfields:1 <> O.none)
   in
   let e = oracle_env ~prepare 31 in
   let victim = first_dead e in
-  H.bind e.heap victim.O.addr victim;
+  (* The pause freed the dead object's storage: resurrect it as a
+     collector that wrongly kept it would have, live and bound at its
+     pre-pause address. *)
+  let st = H.store e.heap in
+  let resurrected =
+    O.alloc st ~id:victim.id ~addr:victim.addr ~size:victim.size
+      ~nfields:victim.nfields
+  in
+  H.bind e.heap victim.addr resurrected;
   check_reports "dead object re-bound"
     (Printf.sprintf "object %d is dead per the oracle but was evacuated"
-       victim.O.id)
+       victim.id)
     (diff e);
-  H.unbind e.heap victim.O.addr;
+  H.unbind e.heap victim.addr;
+  H.free_object e.heap resurrected;
   check_clean "dead object re-bound undone" (diff e)
 
 let test_oracle_catches_double_binding () =
   let e = oracle_env 31 in
   let victim = first_survivor e in
-  let alias = victim.O.addr + 8 in
-  H.bind e.heap alias victim;
+  let alias = O.addr (H.store e.heap) victim.obj + 8 in
+  H.bind e.heap alias victim.obj;
   let msgs = diff e in
   check_reports "survivor bound twice"
-    (Printf.sprintf "object %d survives at two addresses" victim.O.id)
+    (Printf.sprintf "object %d survives at two addresses" victim.id)
     msgs;
   Alcotest.(check (list string)) "diff is repeatable" msgs (diff e);
   H.unbind e.heap alias;
@@ -301,39 +334,41 @@ let test_oracle_catches_double_binding () =
 
 let test_oracle_catches_wrong_field () =
   let e = oracle_env 31 in
+  let st = H.store e.heap in
   let young_ids = Hashtbl.create 256 in
-  List.iter (fun o -> Hashtbl.replace young_ids o.O.id ()) e.young;
+  List.iter (fun y -> Hashtbl.replace young_ids y.id ()) e.young;
   let young_referent f =
-    let o = H.lookup_or_dummy e.heap f in
-    if Hashtbl.mem young_ids o.O.id then Some o else None
+    let o = H.find e.heap f in
+    if o <> O.none && Hashtbl.mem young_ids (O.id st o) then Some (O.id st o)
+    else None
   in
   (* A survivor with a field that references another young object. *)
   let holder, i, referent =
     List.find_map
-      (fun o ->
-        if not (evacuated e o) then None
+      (fun y ->
+        if not (evacuated e y) then None
         else
           Seq.find_map
-            (fun (i, f) -> Option.map (fun r -> (o, i, r)) (young_referent f))
-            (Array.to_seqi o.O.fields))
+            (fun i ->
+              Option.map (fun r -> (y, i, r))
+                (young_referent (O.field st y.obj i)))
+            (Seq.init y.nfields Fun.id))
       e.young
     |> Option.get
   in
-  let other =
-    List.find (fun o -> evacuated e o && o.O.id <> referent.O.id) e.young
-  in
-  let original = holder.O.fields.(i) in
-  holder.O.fields.(i) <- other.O.addr;
+  let other = List.find (fun y -> evacuated e y && y.id <> referent) e.young in
+  let original = O.field st holder.obj i in
+  O.set_field st holder.obj i (O.addr st other.obj);
   check_reports "field at the wrong young copy"
     (Printf.sprintf "object %d field %d: oracle young:%d, collector young:%d"
-       holder.O.id i referent.O.id other.O.id)
+       holder.id i referent other.id)
     (diff e);
-  holder.O.fields.(i) <- Simheap.Layout.null;
+  O.set_field st holder.obj i Simheap.Layout.null;
   check_reports "field nulled"
     (Printf.sprintf "object %d field %d: oracle young:%d, collector null"
-       holder.O.id i referent.O.id)
+       holder.id i referent)
     (diff e);
-  holder.O.fields.(i) <- original;
+  O.set_field st holder.obj i original;
   check_clean "wrong field undone" (diff e)
 
 let test_oracle_catches_stale_anchor () =
@@ -343,7 +378,8 @@ let test_oracle_catches_stale_anchor () =
   root.O.target <- pre;
   check_reports "anchor left at its pre-pause address"
     (Printf.sprintf "anchor slot: oracle young:%d, collector out:0x%x"
-       (H.lookup_exn e.heap post).O.id pre)
+       (O.id (H.store e.heap) (H.lookup_exn e.heap post))
+       pre)
     (diff e);
   root.O.target <- post;
   check_clean "stale anchor undone" (diff e)
@@ -390,36 +426,43 @@ let test_oracle_catches_forged_bytes () =
   check_clean "genuine counters" (diff e)
 
 let some_holder heap =
-  lowest_binding ~pred:(fun obj -> Array.length obj.O.fields > 0) heap
+  lowest_binding ~pred:(fun obj -> O.nfields (H.store heap) obj > 0) heap
 
 let test_invariants_catch_dangling_field () =
   let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
   let obj = some_holder heap in
-  let original = obj.O.fields.(0) in
-  let stale = obj.O.addr + 8 in
-  obj.O.fields.(0) <- stale;
+  let original = O.field st obj 0 in
+  let stale = O.addr st obj + 8 in
+  O.set_field st obj 0 stale;
   check_reports "dangling field"
     (Printf.sprintf "field 0 dangles (0x%x unbound)" stale)
     (Verify.Invariants.run gc);
-  obj.O.fields.(0) <- original;
+  O.set_field st obj 0 original;
   check_clean "dangling field undone" (Verify.Invariants.run gc)
 
 let test_invariants_catch_dangling_remset () =
   let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
   let obj = some_live_object heap in
-  let r = H.region_of_addr heap obj.O.addr in
-  let stale = obj.O.addr + 8 in
-  Simstats.Vec.push r.R.remset (O.Root { O.root_id = -7; target = stale });
+  let r = H.region_of_addr heap (O.addr st obj) in
+  let stale = O.addr st obj + 8 in
+  (* A holder outside every region (so no other check names it) whose
+     one field the remset entry points through. *)
+  let holder = O.alloc st ~id:(-7) ~addr:0 ~size:24 ~nfields:1 in
+  O.set_field st holder 0 stale;
+  Simstats.Ivec.push r.R.remset (O.field_slot holder 0);
   check_reports "dangling remset entry"
     (Printf.sprintf "remset entry dangles (0x%x unbound)" stale)
     (Verify.Invariants.run gc);
-  ignore (Simstats.Vec.pop_exn r.R.remset);
+  ignore (Simstats.Ivec.pop_or r.R.remset (-1) : int);
+  O.free st holder;
   check_clean "dangling remset entry undone" (Verify.Invariants.run gc)
 
 let test_invariants_catch_dangling_root () =
   let heap, gc, _ = quiet_env () in
   let obj = some_live_object heap in
-  let stale = obj.O.addr + 8 in
+  let stale = O.addr (H.store heap) obj + 8 in
   let root = H.new_root heap stale in
   check_reports "dangling root"
     (Printf.sprintf "root %d dangles (0x%x unbound)" root.O.root_id stale)
@@ -429,7 +472,9 @@ let test_invariants_catch_dangling_root () =
 
 let test_invariants_catch_used_bytes () =
   let heap, gc, _ = quiet_env () in
-  let r = H.region_of_addr heap (some_live_object heap).O.addr in
+  let r =
+    H.region_of_addr heap (O.addr (H.store heap) (some_live_object heap))
+  in
   r.R.top <- r.R.top + 8;
   check_reports "used_bytes mismatch"
     (Printf.sprintf "used_bytes %d but objects sum to %d bytes" r.R.top
@@ -440,16 +485,92 @@ let test_invariants_catch_used_bytes () =
 
 let test_invariants_catch_rebinding () =
   let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
   let obj = some_live_object heap in
-  let other = lowest_binding ~pred:(fun o -> o != obj) heap in
-  H.bind heap obj.O.addr other;
+  let other = lowest_binding ~pred:(fun o -> o <> obj) heap in
+  H.bind heap (O.addr st obj) other;
   check_reports "address bound to a different object"
     (Printf.sprintf "address table binds a different object (id %d)"
-       other.O.id)
+       (O.id st other))
     (Verify.Invariants.run gc);
-  H.bind heap obj.O.addr obj;
+  H.bind heap (O.addr st obj) obj;
   check_clean "address bound to a different object undone"
     (Verify.Invariants.run gc)
+
+(* The store's words of [obj] that [O.alloc] resets, to put a freed
+   object back exactly: an exact-size free list hands the most recently
+   freed block out first, so the same handle comes back. *)
+let refill st obj =
+  let id = O.id st obj and addr = O.addr st obj and size = O.size st obj in
+  let age = O.age st obj in
+  let fields = Array.init (O.nfields st obj) (O.field st obj) in
+  fun () ->
+    let back = O.alloc st ~id ~addr ~size ~nfields:(Array.length fields) in
+    check_int "the freed block comes back" obj back;
+    O.set_age st back age;
+    Array.iteri (O.set_field st back) fields
+
+(* A live object's storage freed while it stays bound and listed: the
+   binding, the region list and the live count all disagree with the
+   store. *)
+let test_invariants_catch_freed_bound () =
+  let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
+  let obj = some_live_object heap in
+  let addr = O.addr st obj in
+  let restore = refill st obj in
+  O.free st obj;
+  let msgs = Verify.Invariants.run gc in
+  check_reports "freed handle bound"
+    (Printf.sprintf "binding 0x%x names freed handle %d" addr obj)
+    msgs;
+  check_reports "freed handle listed"
+    (Printf.sprintf "lists freed handle %d" obj)
+    msgs;
+  check_reports "live count"
+    (Printf.sprintf "object store holds %d live objects but the address \
+                     table %d bindings"
+       (H.live_objects heap - 1) (H.live_objects heap))
+    msgs;
+  restore ();
+  check_clean "freed handle bound undone" (Verify.Invariants.run gc)
+
+(* A dead object dropped from the address table and freed, but left in
+   its region's object list (and so reachable from a slot through it). *)
+let test_invariants_catch_freed_listed () =
+  let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
+  let obj = some_holder heap in
+  let addr = O.addr st obj in
+  let r = H.region_of_addr heap addr in
+  let restore = refill st obj in
+  H.unbind heap addr;
+  O.free st obj;
+  Simstats.Ivec.push r.R.remset (O.field_slot obj 0);
+  let msgs = Verify.Invariants.run gc in
+  check_reports "freed handle listed"
+    (Printf.sprintf "lists freed handle %d" obj)
+    msgs;
+  check_reports "remset entry through a freed holder"
+    (Printf.sprintf "remset entry names freed holder handle %d" obj)
+    msgs;
+  ignore (Simstats.Ivec.pop_or r.R.remset (-1) : int);
+  restore ();
+  H.bind heap addr obj;
+  check_clean "freed handle listed undone" (Verify.Invariants.run gc)
+
+(* A live handle no binding names: the store leaks it. *)
+let test_invariants_catch_store_leak () =
+  let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
+  let orphan = O.alloc st ~id:(-1) ~addr:0 ~size:16 ~nfields:0 in
+  check_reports "leaked handle"
+    (Printf.sprintf "object store holds %d live objects but the address \
+                     table %d bindings"
+       (H.live_objects heap + 1) (H.live_objects heap))
+    (Verify.Invariants.run gc);
+  O.free st orphan;
+  check_clean "leaked handle undone" (Verify.Invariants.run gc)
 
 (* ------------------------------------------------------------------ *)
 (* Config gating                                                       *)
@@ -515,6 +636,12 @@ let () =
             test_invariants_catch_used_bytes;
           Alcotest.test_case "address bound to another object" `Quick
             test_invariants_catch_rebinding;
+          Alcotest.test_case "freed handle left bound" `Quick
+            test_invariants_catch_freed_bound;
+          Alcotest.test_case "freed handle left listed" `Quick
+            test_invariants_catch_freed_listed;
+          Alcotest.test_case "live handle left unbound" `Quick
+            test_invariants_catch_store_leak;
         ] );
       ( "gating",
         [ Alcotest.test_case "config flag + env override" `Quick

@@ -92,6 +92,7 @@ let test_graph_every_entry_reachable () =
   (* every live object must be reachable from roots or remset slots *)
   let profile = Workloads.Apps.find "reactors" in
   let heap, _, stats = generate profile in
+  let st = H.store heap in
   let visited = Hashtbl.create 256 in
   let rec visit addr =
     if
@@ -105,15 +106,17 @@ let test_graph_every_entry_reachable () =
           let region = H.region_of_addr heap addr in
           if region.R.kind = R.Eden then begin
             Hashtbl.add visited addr ();
-            Array.iter visit o.O.fields
+            for i = 0 to O.nfields st o - 1 do
+              visit (O.field st o i)
+            done
           end
     end
   in
   Simstats.Vec.iter (fun (r : O.root) -> visit r.O.target) (H.roots heap);
   H.iter_regions
     (fun region ->
-      Simstats.Vec.iter
-        (fun slot -> visit (O.slot_referent slot))
+      Simstats.Ivec.iter
+        (fun slot -> visit (O.slot_referent st slot))
         region.R.remset)
     heap;
   check_int "all live objects reachable from entries"
@@ -122,11 +125,12 @@ let test_graph_every_entry_reachable () =
 let test_graph_remsets_point_into_young () =
   let profile = Workloads.Apps.find "page-rank" in
   let heap, _, _ = generate profile in
+  let st = H.store heap in
   H.iter_regions
     (fun region ->
-      Simstats.Vec.iter
+      Simstats.Ivec.iter
         (fun slot ->
-          let target = O.slot_referent slot in
+          let target = O.slot_referent st slot in
           check_bool "remset target inside its region" true
             (R.contains region target);
           check_bool "remset region is young" true (region.R.kind = R.Eden))
@@ -158,14 +162,16 @@ let test_old_space_slots () =
   let profile = Workloads.Apps.find "reactors" in
   let heap = H.create (P.heap_config profile) in
   let pool = Workloads.Old_space.create heap in
-  let h1, f1 = Workloads.Old_space.take_slot pool in
-  let h2, f2 = Workloads.Old_space.take_slot pool in
-  check_bool "distinct slots" true (not (h1 == h2 && f1 = f2));
-  h1.O.fields.(f1) <- 1234;
+  let st = H.store heap in
+  let s1 = Workloads.Old_space.take_slot pool in
+  let s2 = Workloads.Old_space.take_slot pool in
+  check_bool "distinct slots" true (s1 <> s2);
+  O.slot_write st s1 1234;
   Workloads.Old_space.reset_cycle pool;
-  check_int "reset nulls holder fields" Simheap.Layout.null h1.O.fields.(f1);
-  let h3, f3 = Workloads.Old_space.take_slot pool in
-  check_bool "cursor rewound" true (h3 == h1 && f3 = f1)
+  check_int "reset nulls holder fields" Simheap.Layout.null
+    (O.slot_referent st s1);
+  let s3 = Workloads.Old_space.take_slot pool in
+  check_bool "cursor rewound" true (s3 = s1)
 
 let test_old_space_recycle_protects_holders () =
   let profile = Workloads.Apps.find "reactors" in
@@ -179,9 +185,55 @@ let test_old_space_recycle_protects_holders () =
   Workloads.Old_space.recycle pool ~keep_free:(free_before + 4);
   check_bool "recycle freed regions" true (H.free_regions heap > free_before);
   (* holder still usable *)
-  let h, f = Workloads.Old_space.take_slot pool in
+  let slot = Workloads.Old_space.take_slot pool in
+  let h = O.slot_holder slot in
   check_bool "holder survives recycling" true
-    (H.lookup heap h.O.addr <> None && f >= 0)
+    (O.is_live (H.store heap) h
+    && H.lookup heap (O.addr (H.store heap) h) = Some h)
+
+(* Objects die at a pause (never copied) and when recycling releases
+   their region; both free their storage, so over a long run the store
+   grows with the largest live set, not with every object allocated.
+   naive-bayes at gc_scale 8 runs 24 collections; a store that never
+   recycled would carve a block per generated object, 2.6x the largest
+   live set here, against the 1.5x checked. *)
+let test_old_space_store_bounded () =
+  let profile = Workloads.Apps.find "naive-bayes" in
+  (* A heap with little room past what recycling keeps free, so promoted
+     regions are recycled every few cycles. *)
+  let heap =
+    H.create
+      { (P.heap_config profile) with
+        H.heap_regions = (2 * P.young_regions profile) + 12 }
+  in
+  let memory = Memsim.Memory.create (P.memory_config profile) in
+  let config = Workloads.Apps.gc_config profile ~preset:`All ~threads:4 in
+  let gc = Nvmgc.Young_gc.create ~heap ~memory config in
+  let pool = Workloads.Old_space.create heap in
+  let rng = Simstats.Prng.create 42 in
+  let st = H.store heap in
+  let gcs = 8 * profile.P.gcs_per_run in
+  let now = ref 0.0 and max_live = ref 0 and generated = ref 0 in
+  for _ = 1 to gcs do
+    H.clear_roots heap;
+    Workloads.Old_space.reset_cycle pool;
+    let g =
+      Workloads.Graph_gen.generate ~heap ~profile
+        ~rng:(Simstats.Prng.split rng) ~old_pool:pool
+    in
+    generated := !generated + g.Workloads.Graph_gen.live_objects;
+    let pause = Nvmgc.Young_gc.collect gc ~now_ns:!now in
+    now := !now +. pause.Nvmgc.Gc_stats.pause_ns;
+    check_int "store live = bindings after a pause" (H.live_objects heap)
+      (O.live st);
+    max_live := Int.max !max_live (O.live st);
+    Workloads.Old_space.recycle pool ~keep_free:(P.young_regions profile + 8)
+  done;
+  check_int "24 collections" 24 gcs;
+  check_bool "recycling released objects" true (!generated > 2 * !max_live);
+  if 2 * O.capacity st > 3 * !max_live then
+    Alcotest.failf "store capacity %d exceeds 1.5 x the largest live set %d"
+      (O.capacity st) !max_live
 
 (* ------------------------------------------------------------------ *)
 (* Mutator                                                             *)
@@ -276,6 +328,8 @@ let () =
           Alcotest.test_case "slots" `Quick test_old_space_slots;
           Alcotest.test_case "recycle protects holders" `Quick
             test_old_space_recycle_protects_holders;
+          Alcotest.test_case "store bounded by the live set" `Quick
+            test_old_space_store_bounded;
         ] );
       ( "mutator",
         [
