@@ -82,7 +82,7 @@ let create config =
       free = Simstats.Ivec.create ();
       scratch = Array.init config.dram_scratch_regions scratch;
       scratch_free = Simstats.Ivec.create ();
-      store = Objmodel.create_store ~max_object_bytes:config.region_bytes ();
+      store = Objmodel.create_store ~max_object_bytes:config.region_bytes;
       addr_map = Addr_table.create ();
       roots = Simstats.Vec.create dummy_root;
       next_obj_id = 0;

@@ -12,8 +12,9 @@
     handle is a block's offset in the store's word space, so every load
     and store is a plain word access ([caml_modify] never runs, and the
     host GC sees a few pointer-free arrays instead of a record and a field
-    array per object).  Chunks are added, never copied: a growing store
-    leaves no outgrown array behind, and no block straddles two chunks.
+    array per object).  Every chunk is allocated at full size and never
+    copied: a growing store leaves no outgrown array behind, and no block
+    straddles two chunks.
     Freed blocks go on exact-size free lists keyed by field count, linked
     through their id word; allocation pops the most recently freed block
     of its class, else carves a new one at the top.  The reuse order
@@ -62,7 +63,7 @@ type store = {
    regions hold larger objects gets chunks that fit its largest one. *)
 let min_chunk_bits = 12
 
-let create_store ?(max_object_bytes = 0) () =
+let create_store ~max_object_bytes =
   let need = header_words + (max_object_bytes / Layout.ref_bytes) in
   let rec bits b = if 1 lsl b >= need then b else bits (b + 1) in
   let chunk_bits = bits min_chunk_bits in
@@ -80,6 +81,7 @@ let create_store ?(max_object_bytes = 0) () =
 
 let live st = st.live
 let capacity st = st.carved
+let chunk_words st = 1 lsl st.chunk_bits
 
 let[@inline] chunk st h = st.chunks.(h lsr st.chunk_bits)
 let[@inline] get st h w = (chunk st h).((h land st.chunk_mask) + w)
@@ -87,47 +89,41 @@ let[@inline] get st h w = (chunk st h).((h land st.chunk_mask) + w)
 let[@inline] set st h w (v : int) =
   (chunk st h).((h land st.chunk_mask) + w) <- v
 
-let is_live st h = h >= 0 && h + header_words <= st.top && get st h w_size > 0
+(* Below [top], a header that fits its chunk is a block carved in this
+   life (live, or freed with size 0) or lies in a skipped tail, which
+   {!carve} zeroes; a handle in a chunk's last [header_words - 1] words is
+   never a block. *)
+let is_live st h =
+  h >= 0 && h < st.top
+  && (h land st.chunk_mask) + header_words <= 1 lsl st.chunk_bits
+  && get st h w_size > 0
 
-(* A small store's first chunk starts at [initial_words] and doubles up
-   to the chunk size, so a heap of a few objects costs what they need;
-   every later chunk is allocated at full size. *)
-let initial_words = 256
-
-(* Make chunk [k] (the last in use, or the next) hold at least [words]
-   words: reuse one kept by an earlier life of the store (see {!clear}),
-   else allocate or grow it. *)
-let ensure_chunk st k words =
-  if k = st.nchunks then begin
-    if k = Array.length st.chunks then begin
-      let chunks = Array.make (Int.max 4 (2 * k)) [||] in
-      Array.blit st.chunks 0 chunks 0 k;
-      st.chunks <- chunks
-    end;
-    st.nchunks <- k + 1
+(* Start chunk [nchunks]: reuse one kept by an earlier life of the store
+   (see {!clear}), else allocate it. *)
+let add_chunk st =
+  let k = st.nchunks in
+  if k = Array.length st.chunks then begin
+    let chunks = Array.make (Int.max 4 (2 * k)) [||] in
+    Array.blit st.chunks 0 chunks 0 k;
+    st.chunks <- chunks
   end;
-  let c = st.chunks.(k) in
-  let len = Array.length c in
-  if len < words then begin
-    let full = 1 lsl st.chunk_bits in
-    let grown =
-      if k = 0 then Int.min full (Int.max words (Int.max initial_words (2 * len)))
-      else full
-    in
-    let c' = Array.make grown 0 in
-    Array.blit c 0 c' 0 len;
-    st.chunks.(k) <- c'
-  end
+  if Array.length st.chunks.(k) = 0 then
+    st.chunks.(k) <- Array.make (1 lsl st.chunk_bits) 0;
+  st.nchunks <- k + 1
 
 let carve st nfields =
   let need = header_words + nfields in
   if need > 1 lsl st.chunk_bits then
     invalid_arg "Objmodel.alloc: object larger than a store chunk";
-  (* Skip a chunk's tail that cannot hold the block. *)
-  if (st.top land st.chunk_mask) + need > 1 lsl st.chunk_bits then
-    st.top <- (st.top lor st.chunk_mask) + 1;
+  (* Skip a chunk's tail that cannot hold the block, zeroing it: a kept
+     chunk may hold an earlier life's blocks there. *)
+  let o = st.top land st.chunk_mask in
+  if o + need > 1 lsl st.chunk_bits then begin
+    Array.fill (chunk st st.top) o ((1 lsl st.chunk_bits) - o) 0;
+    st.top <- (st.top lor st.chunk_mask) + 1
+  end;
   let h = st.top in
-  ensure_chunk st (h lsr st.chunk_bits) ((h land st.chunk_mask) + need);
+  if h lsr st.chunk_bits = st.nchunks then add_chunk st;
   st.top <- h + need;
   st.carved <- st.carved + 1;
   h

@@ -17,9 +17,9 @@ val none : t
 
 type store
 
-val create_store : ?max_object_bytes:int -> unit -> store
-(** An empty store whose objects may be up to [max_object_bytes] (default
-    0: the minimum chunk bounds them).  A heap passes its region size. *)
+val create_store : max_object_bytes:int -> store
+(** An empty store whose objects may be up to [max_object_bytes] bytes: its
+    chunks are large enough for one.  A heap passes its region size. *)
 
 val alloc : store -> id:int -> addr:int -> size:int -> nfields:int -> t
 (** A block for a fresh object: not forwarded, not cached, age 0, [phys =
@@ -43,8 +43,14 @@ val capacity : store -> int
 (** Blocks carved so far (live or on a free list): the store's size in
     objects.  Recycling keeps it near the peak live count. *)
 
+val chunk_words : store -> int
+(** Words per chunk: a power of two, at least 4,096 and enough for the
+    largest object.  Every chunk is allocated at this size. *)
+
 val is_live : store -> t -> bool
-(** Whether [h] names a carved, unfreed block. *)
+(** Whether [h] names a carved, unfreed block.  Reads no word outside the
+    store for any [h], and is false for every handle in a chunk tail that
+    allocation skipped; a handle inside a block is not checked. *)
 
 (** {2 Objects} *)
 

@@ -25,7 +25,7 @@ let test_layout_disjoint_ranges () =
 (* Objmodel                                                            *)
 
 let test_obj_make () =
-  let st = O.create_store () in
+  let st = O.create_store ~max_object_bytes:256 in
   let o = O.alloc st ~id:1 ~addr:1000 ~size:48 ~nfields:2 in
   check_int "id" 1 (O.id st o);
   check_int "nfields" 2 (O.nfields st o);
@@ -44,7 +44,7 @@ let test_obj_make () =
     (fun () -> ignore (O.alloc st ~id:3 ~addr:3000 ~size:16 ~nfields:1))
 
 let test_obj_field_addrs () =
-  let st = O.create_store () in
+  let st = O.create_store ~max_object_bytes:256 in
   let o = O.alloc st ~id:1 ~addr:1000 ~size:48 ~nfields:2 in
   check_int "field 0 after header" (1000 + 16) (O.field_addr st o 0);
   check_int "field 1" (1000 + 24) (O.field_addr st o 1);
@@ -53,7 +53,7 @@ let test_obj_field_addrs () =
   check_int "official addr unchanged" (1000 + 16) (O.field_addr st o 0)
 
 let test_slots () =
-  let st = O.create_store () in
+  let st = O.create_store ~max_object_bytes:256 in
   ignore (O.alloc st ~id:0 ~addr:500 ~size:16 ~nfields:0);
   let holder = O.alloc st ~id:1 ~addr:1000 ~size:48 ~nfields:2 in
   O.set_field st holder 0 77;
@@ -71,7 +71,7 @@ let test_slots () =
 (* Freed blocks return to exact-size free lists, most recent first; a
    cleared store hands out a fresh store's handles. *)
 let test_store_recycling () =
-  let st = O.create_store () in
+  let st = O.create_store ~max_object_bytes:256 in
   let a = O.alloc st ~id:0 ~addr:100 ~size:32 ~nfields:2 in
   let b = O.alloc st ~id:1 ~addr:200 ~size:32 ~nfields:2 in
   let c = O.alloc st ~id:2 ~addr:300 ~size:32 ~nfields:1 in
@@ -95,13 +95,46 @@ let test_store_recycling () =
   check_int "cleared: nothing live" 0 (O.live st);
   check_int "cleared: nothing carved" 0 (O.capacity st);
   check_bool "cleared handle not live" false (O.is_live st c);
-  let fresh = O.create_store () in
+  let fresh = O.create_store ~max_object_bytes:256 in
   List.iter
     (fun nfields ->
       check_int "cleared store hands out fresh handles"
         (O.alloc fresh ~id:0 ~addr:8 ~size:64 ~nfields)
         (O.alloc st ~id:0 ~addr:8 ~size:64 ~nfields))
     [ 2; 1; 2; 0 ]
+
+(* A block that does not fit the rest of a chunk starts the next one;
+   no handle in the skipped tail, in a chunk's last words or past the
+   top is live, even where a cleared store's kept chunk held blocks of
+   an earlier life. *)
+let test_store_skipped_tail () =
+  let st = O.create_store ~max_object_bytes:256 in
+  let c = O.chunk_words st in
+  let hdr = 6 in
+  let block words =
+    O.alloc st ~id:0 ~addr:0 ~size:(8 * words) ~nfields:(words - hdr)
+  in
+  (* Life 1 fills most of chunk 0 with 16-word blocks. *)
+  let old = List.init (c / 16 * 3 / 4) (fun _ -> block 16) in
+  let stale = List.nth old (List.length old - 1) in
+  check_bool "earlier life's block lies in the second half" true
+    (stale >= c / 2 && stale < c);
+  O.clear st;
+  (* Life 2: half a chunk, then a full one, which skips the tail. *)
+  let half = block (c / 2) in
+  check_int "first block at 0" 0 half;
+  let full = block c in
+  check_int "full block starts chunk 1" c full;
+  check_bool "full block live" true (O.is_live st full);
+  check_bool "earlier life's handle in the skipped tail" false
+    (O.is_live st stale);
+  check_bool "skipped tail" false (O.is_live st (c / 2 + (c / 4)));
+  check_bool "chunk's last words" false (O.is_live st (c - 1));
+  check_bool "inside a block's fields" false (O.is_live st (half + hdr));
+  check_bool "past the top" false (O.is_live st ((2 * c) + 1));
+  check_bool "negative" false (O.is_live st (-1));
+  O.free st full;
+  check_bool "freed full block" false (O.is_live st full)
 
 (* ------------------------------------------------------------------ *)
 (* Region                                                              *)
@@ -378,6 +411,7 @@ let () =
           Alcotest.test_case "field addrs" `Quick test_obj_field_addrs;
           Alcotest.test_case "slots" `Quick test_slots;
           Alcotest.test_case "store recycling" `Quick test_store_recycling;
+          Alcotest.test_case "store skipped tail" `Quick test_store_skipped_tail;
         ] );
       ( "region",
         [

@@ -559,6 +559,37 @@ let test_invariants_catch_freed_listed () =
   H.bind heap addr obj;
   check_clean "freed handle listed undone" (Verify.Invariants.run gc)
 
+(* A binding corrupted to a handle in a chunk tail the store skipped:
+   the tail holds no block, so the handle must read as not live. *)
+let test_invariants_catch_tail_handle () =
+  let heap, gc, _ = quiet_env () in
+  let st = H.store heap in
+  let obj = some_live_object heap in
+  let addr = O.addr st obj in
+  let c = O.chunk_words st in
+  (* A full-chunk block fills a chunk, a half-chunk block starts the
+     next, and a second full one skips the rest of that chunk. *)
+  let block words =
+    O.alloc st ~id:(-1) ~addr:0 ~size:(8 * words) ~nfields:(words - 6)
+  in
+  let first = block c in
+  let half = block (c / 2) in
+  let full = block c in
+  check_int "half block starts a chunk" (first + c) half;
+  check_int "full block starts the next" (half + c) full;
+  let tail = full - (c / 4) in
+  H.bind heap addr tail;
+  let msgs = Verify.Invariants.run gc in
+  check_reports "tail handle bound"
+    (Printf.sprintf "binding 0x%x names freed handle %d" addr tail)
+    msgs;
+  check_reports "tail handle in place of a listed object"
+    (Printf.sprintf "address table binds freed handle %d" tail)
+    msgs;
+  H.bind heap addr obj;
+  List.iter (O.free st) [ full; half; first ];
+  check_clean "tail handle bound undone" (Verify.Invariants.run gc)
+
 (* A live handle no binding names: the store leaks it. *)
 let test_invariants_catch_store_leak () =
   let heap, gc, _ = quiet_env () in
@@ -642,6 +673,8 @@ let () =
             test_invariants_catch_freed_listed;
           Alcotest.test_case "live handle left unbound" `Quick
             test_invariants_catch_store_leak;
+          Alcotest.test_case "skipped-tail handle bound" `Quick
+            test_invariants_catch_tail_handle;
         ] );
       ( "gating",
         [ Alcotest.test_case "config flag + env override" `Quick
